@@ -415,6 +415,9 @@ fn stream(t: &Tracer, inp: &Inputs, m: &mut Metrics) -> Result<(), String> {
     let mut overlay = OverlayGraph::new(Arc::new(FrozenGraph::from_store(&g)));
     let log_path = inp.path("mutations.jsonl");
     let log = std::fs::read_to_string(&log_path).map_err(|e| format!("{log_path}: {e}"))?;
+    // Frontier sizes are the VGOD model's only: its several hops and
+    // DegNorm's one hop are two distributions, and a median over both
+    // would sit on the edge between them.
     let (mut ops_applied, mut rescored) = (0usize, 0usize);
     let mut frontiers = Vec::new();
     // The first batches of the log give every span enough samples; the rest
@@ -437,8 +440,10 @@ fn stream(t: &Tracer, inp: &Inputs, m: &mut Metrics) -> Result<(), String> {
             let frontier = t.span(name, || {
                 apply_mutation_rescore(&*det, &overlay, &effect.touched, cache)
             });
-            rescored += frontier;
-            frontiers.push(frontier as f64);
+            if i == 0 {
+                rescored += frontier;
+                frontiers.push(frontier as f64);
+            }
         }
         if overlay.overlay_bytes() > inp.compact_bytes {
             let delta = overlay.delta_snapshot();

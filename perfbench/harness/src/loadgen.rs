@@ -12,6 +12,11 @@
 //!   sends the next one when a reply arrives; latency is timed from the
 //!   send.
 //!
+//! A connection of a closed phase may be marked `"open": true`; it then
+//! keeps its fixed due times beside the closed connections, so a closed
+//! loop can find one class's saturation under another class's offered
+//! load.
+//!
 //! A reply other than `200`, a broken connection and a reply later than
 //! the phase timeout count as failures. When `expect` names offline score
 //! files, every `200` reply to `/score` must carry exactly the score
@@ -72,6 +77,8 @@ struct Request {
 struct ConnPlan {
     class: String,
     path: String,
+    /// Sends at due times even in a closed phase.
+    open: bool,
     requests: Vec<Request>,
 }
 
@@ -166,6 +173,7 @@ fn parse_plan(text: &str) -> Result<Plan, String> {
                     .and_then(Json::as_str)
                     .ok_or("plan: path")?
                     .to_string(),
+                open: matches!(c.get("open"), Some(Json::Bool(true))),
                 requests,
             });
         }
@@ -306,8 +314,9 @@ fn run_phase(
         let now = t();
         // Send everything due (open) or refill each window (closed).
         for (c, plan) in conns.iter_mut().zip(&phase.conns) {
+            let closed = phase.closed && !plan.open;
             while let Some(req) = plan.requests.get(c.next) {
-                let go = if phase.closed {
+                let go = if closed {
                     c.outstanding.len() < phase.window && now < phase.duration_s
                 } else {
                     req.due_s <= now
@@ -316,7 +325,7 @@ fn run_phase(
                     break;
                 }
                 c.next += 1;
-                let due = if phase.closed { now } else { req.due_s };
+                let due = if closed { now } else { req.due_s };
                 records.push(Record {
                     class: plan.class.clone(),
                     due,
@@ -376,11 +385,12 @@ fn run_phase(
         }
         // Sleep until the next due request or a reply, whichever is first.
         let mut wait = 0.05f64;
-        if !phase.closed {
-            for (c, plan) in conns.iter().zip(&phase.conns) {
-                if let Some(req) = plan.requests.get(c.next) {
-                    wait = wait.min((req.due_s - now).max(0.0));
-                }
+        for (c, plan) in conns.iter().zip(&phase.conns) {
+            if phase.closed && !plan.open {
+                continue;
+            }
+            if let Some(req) = plan.requests.get(c.next) {
+                wait = wait.min((req.due_s - now).max(0.0));
             }
         }
         let mut fds: Vec<PollFd> = conns

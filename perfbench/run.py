@@ -38,19 +38,21 @@ ROOT = os.path.dirname(HERE)
 WORKLOADS = ("detect", "serve", "stream", "detect-ooc")
 
 # Workload sizes and offered load, frozen so every commit sees the same
-# schedule. The open-loop rates sit at a quarter to a third of the
-# closed-loop saturation measured on a 2-CPU host (see README.md). `toy` is
-# the self-test scale (perfbench/selftest.py).
+# schedule. The open-loop rates are fractions of each class's closed-loop
+# saturation, measured by perfbench/calibrate.py on a 2-CPU host (see
+# README.md): `gnn` 1/4 to 1/3 of 1,600-2,000/s, `update` 1/3 of 30/s,
+# `light` 1/35 of ~82,000/s and `read` 1/50 of ~150,000/s. `toy` is the
+# self-test scale (perfbench/selftest.py).
 SCALES = {
     "full": {
         "detect": {"dataset": "pubmed", "scale": "medium", "inject": [], "epochs": 50},
         "serve": {
             "dataset": "pubmed", "scale": "medium", "inject": [], "ckpt_epochs": 5,
-            "gnn_rate": 500.0, "light_rate": 600.0, "window": 64, "max_batch": 32,
+            "gnn_rate": 500.0, "light_rate": 2400.0, "window": 64, "max_batch": 32,
         },
         "stream": {
             "dataset": "pubmed", "scale": "medium", "inject": [], "ckpt_epochs": 5,
-            "update_rate": 10.0, "read_rate": 500.0, "closed_batches": 100, "ops": 4,
+            "update_rate": 10.0, "read_rate": 2900.0, "closed_batches": 400, "ops": 4,
             "compact": 32 << 10,
         },
         "detect-ooc": {"nodes": 200000, "budget": 24 << 20, "big_budget": 256 << 20, "threshold": 20000},
@@ -76,6 +78,59 @@ SERVER_ENV = dict(os.environ, VGOD_NUM_THREADS="1")
 SETUP_REPS = 5
 REQUEST_NODES = 8
 TIMEOUT_S = 5.0
+
+# For every per-layer metric: the workloads whose time it attributes, each
+# with the end-to-end metrics a change in that layer should move there. On
+# any workload not named it should have about no effect. A traced run
+# prints these tags and writes them into its record and span file.
+DETECT = ("p50_ms", "light_p50_ms")
+LAYER_MOVES = {
+    "tensor.matmul_us": {"detect": DETECT, "serve": ("p50_ms", "ops_per_s")},
+    "tensor.matmul_tn_us": {"detect": ("p50_ms",)},
+    "tensor.matmul_nt_us": {"detect": ("p50_ms",)},
+    "tensor.spmm_us": {"detect": DETECT, "stream": ("p50_ms",)},
+    "tensor.spmm_t_us": {"detect": ("p50_ms",)},
+    "tensor.map_tanh_us": {"detect": ("p50_ms",)},
+    "tensor.fused_adam_us": {"detect": ("p50_ms",)},
+    "tensor.arena_reuse_ratio": {"detect": ("p50_ms", "peak_rss_mb"), "detect-ooc": ("p50_ms", "peak_rss_mb")},
+    "graph.load_ms": {"detect": DETECT, "serve": ("setup_s",), "stream": ("setup_s",)},
+    "graph.store_open_ms": {"detect-ooc": ("p50_ms", "light_p50_ms")},
+    "graph.cache_hit_ratio": {"detect-ooc": ("p50_ms", "light_p50_ms")},
+    "graph.read_amplification": {"detect-ooc": ("p50_ms", "light_p50_ms")},
+    "graph.evictions": {"detect-ooc": ("p50_ms", "light_p50_ms")},
+    "graph.sample_ms": {"detect-ooc": ("p50_ms", "light_p50_ms")},
+    "graph.apply_batch_us": {"stream": ("p50_ms", "ops_per_s")},
+    "graph.compact_ms": {"stream": ("tail_ms",)},
+    "gnn.context_build_ms": {"detect": DETECT, "serve": ("setup_s",)},
+    "gnn.gat_forward_ms": {"detect": ("p50_ms",), "serve": ("p50_ms", "tail_ms", "ops_per_s"),
+                           "stream": ("p50_ms", "tail_ms", "ops_per_s")},
+    "autograd.backward_ms": {"detect": ("p50_ms",)},
+    "nn.adam_step_ms": {"detect": ("p50_ms",)},
+    "core.vbm_fit_ms": {"detect": ("p50_ms",)},
+    "core.vbm_epoch_ms": {"detect": ("p50_ms",)},
+    "core.arm_fit_ms": {"detect": ("p50_ms",)},
+    "core.arm_epoch_ms": {"detect": ("p50_ms",)},
+    "core.vbm_score_ms": {"detect": DETECT, "serve": ("p50_ms", "tail_ms", "ops_per_s")},
+    "core.arm_score_ms": {"detect": DETECT, "serve": ("p50_ms", "tail_ms", "ops_per_s")},
+    "core.combine_ms": {"detect": DETECT, "serve": ("p50_ms", "tail_ms", "ops_per_s")},
+    "core.minibatch_fit_ms": {"detect-ooc": ("p50_ms", "peak_rss_mb")},
+    "eval.score_pass_ms": {"serve": ("p50_ms", "tail_ms", "ops_per_s")},
+    "eval.light_pass_ms": {"serve": ("light_p50_ms",)},
+    "eval.frontier_nodes": {"stream": ("p50_ms", "ops_per_s")},
+    "eval.delta_gnn_ms": {"stream": ("p50_ms", "tail_ms", "ops_per_s")},
+    "eval.delta_light_ms": {"stream": ("p50_ms", "tail_ms", "ops_per_s")},
+    "eval.rescored_per_op": {"stream": ("p50_ms", "ops_per_s")},
+    "eval.score_store_ms": {"detect-ooc": DETECT},
+    "serve.parse_ns": {"serve": ("light_p50_ms",), "stream": ("light_p50_ms",)},
+    "serve.json_ns": {"serve": ("light_p50_ms",), "stream": ("light_p50_ms",)},
+    "serve.render_ns": {"serve": ("light_p50_ms",), "stream": ("light_p50_ms",)},
+    "serve.requests_per_pass": {"serve": ("ops_per_s",)},
+    "serve.engine_p99_us": {"serve": ("tail_ms",)},
+    "serve.rejected": {"serve": ("p50_ms", "tail_ms", "light_p50_ms"), "stream": ("p50_ms", "tail_ms", "light_p50_ms")},
+    "serve.compactions": {"stream": ("tail_ms",)},
+    "serve.staleness_us": {"stream": ("p50_ms", "tail_ms")},
+    "trace.overhead_ratio": {},
+}
 
 
 def punctual():
@@ -178,6 +233,9 @@ class Bench:
 
     def environment(self):
         env = json.loads(self.harness("env"))
+        if self.args.workload in ("serve", "stream"):
+            # Set-up jobs use the default pool; the server under test does not.
+            env["server_tensor_threads"] = json.loads(self.harness("env", env=SERVER_ENV))["tensor_threads"]
         rustc = subprocess.run(["rustc", "--version"], capture_output=True, text=True).stdout.strip()
         git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
         digest = hashlib.sha256()
@@ -319,16 +377,6 @@ class Bench:
                 return statistics.median(windows), f"p{p}, median of {k} window(s)"
         return max(values), "max"
 
-    @staticmethod
-    def throughput(done_s, elapsed, window=0.5):
-        """Completions per second: the median over `window`-second slices of
-        the phase, so a stall moves one slice, not the rate."""
-        slices = max(1, int(elapsed / window))
-        counts = [0] * slices
-        for t in done_s:
-            counts[min(slices - 1, int(t / window))] += 1
-        return statistics.median(counts) / window
-
     def latency_class(self, cls, label):
         lat = cls["latency_ms"]
         tail, which = self.tail(lat)
@@ -365,6 +413,28 @@ class Bench:
                 f"{result['connections']} connection(s) on {cpus} CPU(s); run rejected"
             )
         return {p["name"]: p for p in result["phases"]}
+
+    def poll_metrics(self, addr, pick, every=0.2):
+        """Sample `pick(/metrics)` every `every` seconds on a side thread
+        while the load runs; the returned function stops the thread and
+        gives the samples."""
+        samples, stop = [], threading.Event()
+
+        def loop():
+            while not stop.wait(every):
+                try:
+                    samples.append(pick(json.loads(self.http(addr, "GET", "/metrics")[1])))
+                except (OSError, ValueError, KeyError):
+                    pass
+
+        thread = threading.Thread(target=loop, daemon=True)
+        thread.start()
+
+        def finish():
+            stop.set()
+            thread.join()
+            return samples
+        return finish
 
     def subsets(self, rng, n, count, model):
         return [json.dumps({"model": model, "nodes": rng.sample(range(n), REQUEST_NODES)}, separators=(",", ":"))
@@ -459,13 +529,13 @@ class Bench:
 
     # ---------------------------------------------------------------- serve
 
-    def serve_setup(self, batches=0):
-        """Set up SETUP_REPS times: inputs, both checkpoints, a mutation log
-        of `batches` batches when streaming, and a healthy server. Keeps the
+    def serve_setup(self, batches=0, reps=SETUP_REPS):
+        """Set up `reps` times: inputs, both checkpoints, a mutation log of
+        `batches` batches when streaming, and a healthy server. Keeps the
         last server."""
         c = self.cfg
         setups = []
-        for rep in range(SETUP_REPS):
+        for rep in range(reps):
             t0 = time.perf_counter()
             self.make_graph()
             os.makedirs(self.path("models"), exist_ok=True)
@@ -480,7 +550,7 @@ class Bench:
             else:
                 server = self.start_server("--max-batch", c["max_batch"])
             setups.append(time.perf_counter() - t0)
-            if rep + 1 < SETUP_REPS:
+            if rep + 1 < reps:
                 self.stop_server(*server)
         self.metrics["setup_s"] = statistics.median(setups)
         return server
@@ -512,7 +582,9 @@ class Bench:
     def serve(self):
         c = self.cfg
         seconds = self.args.seconds
-        open_s, closed_s = 0.6 * seconds, 0.3 * seconds
+        # The closed loop is long because the host's speed flipped for a
+        # second or more at a time; its mean rate averages over the flips.
+        open_s, closed_s = 0.6 * seconds, 0.8 * seconds
         server, addr = self.serve_setup()
         n = len(self.truth())
         # Reference rows for every reply, computed before load starts.
@@ -561,7 +633,7 @@ class Bench:
         })
         self.metrics.update(
             p50_ms=gnn["p50_ms"], tail_ms=gnn["tail_ms"], light_p50_ms=light["p50_ms"],
-            light_tail_ms=light["tail_ms"], ops_per_s=self.throughput(classes["saturation"]["done_s"], closed_s),
+            light_tail_ms=light["tail_ms"], ops_per_s=sat["succeeded"] / phases["closed"]["elapsed_s"],
             peak_rss_mb=rss, auc=auc,
         )
         if self.args.trace:
@@ -589,8 +661,16 @@ class Bench:
         closed = {"name": "closed", "kind": "closed", "window": 1, "duration_s": 120.0, "timeout_s": TIMEOUT_S,
                   "conns": [{"class": "update_closed", "path": "/graph/update",
                              "requests": [[0, b] for b in batches[n_open:]]}]}
-        phases = self.loadgen(addr, [open_phase])
-        mid = json.loads(self.http(addr, "GET", "/metrics")[1])
+        # Snapshot staleness is sampled under load, and only when traced, so
+        # the poll never touches the untraced figures.
+        staleness = self.poll_metrics(addr, lambda m: m["stream"]["staleness_us"]) if self.args.trace else None
+        try:
+            phases = self.loadgen(addr, [open_phase])
+        finally:
+            samples = staleness() if staleness else None
+        if samples is not None:
+            self.record["staleness_us"] = {"samples": len(samples), "values": samples}
+            self.layer_metrics["serve.staleness_us"] = statistics.median(samples) if samples else 0.0
         phases.update(self.loadgen(addr, [closed], record=False))
         after = json.loads(self.http(addr, "GET", "/metrics")[1])
         self.gate("every_batch_applied", after["stream"]["updates"]["batches"] == len(batches),
@@ -603,12 +683,11 @@ class Bench:
         sat = self.latency_class(classes["update_closed"], "update_closed")
         self.layer_metrics.update({
             "serve.compactions": after["stream"]["overlay"]["compactions"],
-            "serve.staleness_us": mid["stream"]["staleness_us"],
             "serve.rejected": after["stream"]["updates"]["rejected"] + after["rejected"],
         })
         self.metrics.update(
             p50_ms=upd["p50_ms"], tail_ms=upd["tail_ms"], light_p50_ms=read["p50_ms"],
-            light_tail_ms=read["tail_ms"], ops_per_s=1e3 / sat["p50_ms"],
+            light_tail_ms=read["tail_ms"], ops_per_s=sat["succeeded"] / phases["closed"]["elapsed_s"],
             peak_rss_mb=rss, auc=auc,
         )
         if self.args.trace:
@@ -618,23 +697,34 @@ class Bench:
     # ---------------------------------------------------------------- main
 
     def layers_from_spans(self):
+        """Take the harness's metrics from its span file, and write the
+        tags of every per-layer metric into the file's summary."""
         with open(self.spans_path) as f:
-            summary = json.load(f)["summary"]
+            spans = json.load(f)
+        summary = spans["summary"]
         self.layer_metrics = {**summary["metrics"], **self.layer_metrics}
+        summary["metrics"] = self.layer_metrics
+        summary["moves"] = LAYER_MOVES
+        with open(self.spans_path, "w") as f:
+            json.dump(spans, f)
         self.record["trace"] = {"spans_file": os.path.relpath(self.spans_path, ROOT),
                                 "untraced_s": summary["untraced_s"], "traced_s": summary["traced_s"]}
+
+    def prepare(self):
+        """Build, make the scratch directory and stamp the environment."""
+        self.build()
+        os.makedirs(self.work)
+        env = self.environment()
+        print(f"env: {json.dumps(env, sort_keys=True)}")
 
     def execute(self):
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             spec = json.load(f)
-        self.build()
-        os.makedirs(self.work)
         results = os.path.join(ROOT, ".bench_results")
-        os.makedirs(results, exist_ok=True)
         stem = f"{self.args.workload}-seed{self.seed}-trace{self.args.trace}"
         self.spans_path = os.path.join(results, f"spans-{stem}.json")
-        env = self.environment()
-        print(f"env: {json.dumps(env, sort_keys=True)}")
+        self.prepare()
+        os.makedirs(results, exist_ok=True)
         steal0, total0 = cpu_steal_jiffies()
         {"detect": self.detect, "serve": self.serve, "stream": self.stream,
          "detect-ooc": self.detect_ooc}[self.args.workload]()
@@ -651,6 +741,8 @@ class Bench:
         correct = bool(self.gates) and all(g["ok"] for g in self.gates.values())
         self.record.update(gates=self.gates, end_to_end=self.metrics, per_layer=self.layer_metrics,
                            attempted=self.attempted, failed=self.failed)
+        if self.args.trace:
+            self.record["per_layer_moves"] = LAYER_MOVES
         with open(os.path.join(results, f"{stem}.json"), "w") as f:
             json.dump(self.record, f, indent=1, sort_keys=True)
         for label, phase in self.record["phases"].items():
@@ -659,7 +751,9 @@ class Bench:
             fails = f", {phase['failed']} failed {phase['failures']}" if phase.get("failed") else ""
             print(f"phase {label}: {phase['samples']} samples{fails}{extra}")
         for name, m in metrics.items():
-            print(f"{name} = {m['value']:.6g} {m['unit']}")
+            moves = "; ".join(f"{w}: {', '.join(e)}" for w, e in LAYER_MOVES.get(name, {}).items())
+            tag = f"  [moves {moves}]" if self.args.trace and moves else ""
+            print(f"{name} = {m['value']:.6g} {m['unit']}{tag}")
         print(json.dumps({"correct": correct, "attempted": max(1, self.attempted), "failed": self.failed,
                           "metrics": metrics}))
         return correct
