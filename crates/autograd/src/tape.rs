@@ -62,12 +62,48 @@ enum Op {
     HCat(usize, usize),
 }
 
+impl Op {
+    /// The tape nodes this op reads.
+    fn inputs(&self) -> [Option<usize>; 2] {
+        match *self {
+            Op::Leaf => [None, None],
+            Op::MatMul(a, b)
+            | Op::MatMulTn(a, b)
+            | Op::MatMulNt(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::HCat(a, b)
+            | Op::AddRowBroadcast { x: a, row: b }
+            | Op::MulColBroadcast { x: a, col: b }
+            | Op::EdgeAggregate { alpha: a, h: b, .. } => [Some(a), Some(b)],
+            Op::SpMm { x, .. }
+            | Op::Scale(x, _)
+            | Op::Relu(x)
+            | Op::LeakyRelu(x, _)
+            | Op::Sigmoid(x)
+            | Op::Tanh(x)
+            | Op::Exp(x)
+            | Op::RowL2Norm { x, .. }
+            | Op::SumAll(x)
+            | Op::MeanAll(x)
+            | Op::RowSum(x)
+            | Op::Gather { x, .. }
+            | Op::SegmentSoftmax { logits: x, .. } => [Some(x), None],
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
     op: Op,
     /// If this leaf mirrors a trainable parameter: the owning store's
     /// identity and the parameter's id within it.
     param: Option<(u64, ParamId)>,
+    /// No parameter leaf feeds this node: a constant leaf, or an op whose
+    /// inputs are all constant. [`Var::backward_into`] computes no gradient
+    /// for such nodes — none of it could reach a parameter.
+    constant: bool,
 }
 
 /// The recycled storage behind a [`Tape`]: recorded nodes plus the gradient
@@ -131,7 +167,18 @@ impl Tape {
 
     fn push(&self, value: Matrix, op: Op, param: Option<(u64, ParamId)>) -> Var {
         let mut buf = self.inner.borrow_mut();
-        buf.nodes.push(Node { value, op, param });
+        let constant = param.is_none()
+            && op
+                .inputs()
+                .into_iter()
+                .flatten()
+                .all(|j| buf.nodes[j].constant);
+        buf.nodes.push(Node {
+            value,
+            op,
+            param,
+            constant,
+        });
         Var {
             tape: self.clone(),
             idx: buf.nodes.len() - 1,
@@ -471,7 +518,7 @@ impl Var {
         );
         let mut grads: Vec<Option<Matrix>> = (0..nodes.len()).map(|_| None).collect();
         grads[self.idx] = Some(Matrix::filled(1, 1, 1.0));
-        run_backward(nodes, self.idx, &mut grads);
+        run_backward(nodes, self.idx, &mut grads, false);
         Gradients { grads }
     }
 
@@ -485,7 +532,10 @@ impl Var {
     /// gradient scratch table: intermediate gradient matrices are released
     /// back to the buffer arena as soon as the parameter gradients have been
     /// routed, so epoch loops using [`Tape::reset`] reach a steady state
-    /// with no new allocations.
+    /// with no new allocations. It also computes no gradient for nodes no
+    /// parameter feeds (constant inputs and everything derived only from
+    /// them): those gradients reach no parameter, so the parameter
+    /// gradients are bitwise the ones [`Var::backward`] computes.
     pub fn backward_into(&self, store: &mut ParamStore) {
         let mut buf = self.tape.inner.borrow_mut();
         let TapeBuf { nodes, grads } = &mut *buf;
@@ -497,7 +547,7 @@ impl Var {
         grads.clear();
         grads.resize_with(nodes.len(), || None);
         grads[self.idx] = Some(Matrix::filled(1, 1, 1.0));
-        run_backward(nodes, self.idx, grads);
+        run_backward(nodes, self.idx, grads, true);
         for (i, node) in nodes.iter().enumerate() {
             if let (Some((sid, pid)), Some(g)) = (node.param, grads[i].as_ref()) {
                 // Only leaves created from *this* store receive gradients —
@@ -530,11 +580,15 @@ impl Gradients {
 
 /// Reverse sweep shared by [`Var::backward`] and [`Var::backward_into`]:
 /// propagate from `from` down to the leaves, leaving each node's gradient in
-/// its `grads` slot.
-fn run_backward(nodes: &[Node], from: usize, grads: &mut [Option<Matrix>]) {
+/// its `grads` slot. With `prune`, nodes marked [`Node::constant`] get no
+/// gradient and propagate none.
+fn run_backward(nodes: &[Node], from: usize, grads: &mut [Option<Matrix>], prune: bool) {
     for i in (0..=from).rev() {
+        if prune && nodes[i].constant {
+            continue;
+        }
         let Some(g) = grads[i].take() else { continue };
-        backpropagate(nodes, i, &g, grads);
+        backpropagate(nodes, i, &g, grads, prune);
         grads[i] = Some(g);
     }
 }
@@ -547,51 +601,87 @@ fn accumulate(grads: &mut [Option<Matrix>], idx: usize, g: Matrix) {
 }
 
 /// Propagate `g` (gradient at node `i`) to the inputs of node `i`.
-fn backpropagate(nodes: &[Node], i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
+///
+/// With `prune`, node `i` is not constant, so a one-input op's input is not
+/// constant either; two-input ops skip the gradient of a constant input.
+fn backpropagate(nodes: &[Node], i: usize, g: &Matrix, grads: &mut [Option<Matrix>], prune: bool) {
+    let live = |j: usize| !(prune && nodes[j].constant);
     match &nodes[i].op {
         Op::Leaf => {}
         Op::MatMul(a, b) => {
             let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
-            accumulate(grads, *a, g.matmul_nt(bv));
-            accumulate(grads, *b, av.matmul_tn(g));
+            if live(*a) {
+                accumulate(grads, *a, g.matmul_nt(bv));
+            }
+            if live(*b) {
+                accumulate(grads, *b, av.matmul_tn(g));
+            }
         }
         Op::MatMulTn(a, b) => {
             // C = AᵀB, A: k×m, B: k×n, C: m×n.
             let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
-            accumulate(grads, *a, bv.matmul_nt(g)); // dA = B Gᵀ (k×m)
-            accumulate(grads, *b, av.matmul(g)); // dB = A G (k×n)
+            if live(*a) {
+                accumulate(grads, *a, bv.matmul_nt(g)); // dA = B Gᵀ (k×m)
+            }
+            if live(*b) {
+                accumulate(grads, *b, av.matmul(g)); // dB = A G (k×n)
+            }
         }
         Op::MatMulNt(a, b) => {
             // C = ABᵀ, A: m×k, B: n×k, C: m×n.
             let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
-            accumulate(grads, *a, g.matmul(bv)); // dA = G B (m×k)
-            accumulate(grads, *b, g.matmul_tn(av)); // dB = Gᵀ A (n×k)
+            if live(*a) {
+                accumulate(grads, *a, g.matmul(bv)); // dA = G B (m×k)
+            }
+            if live(*b) {
+                accumulate(grads, *b, g.matmul_tn(av)); // dB = Gᵀ A (n×k)
+            }
         }
         Op::SpMm { mat, x } => {
             accumulate(grads, *x, mat.spmm_t(g));
         }
         Op::Add(a, b) => {
-            accumulate(grads, *a, g.clone());
-            accumulate(grads, *b, g.clone());
+            if live(*a) {
+                accumulate(grads, *a, g.clone());
+            }
+            if live(*b) {
+                accumulate(grads, *b, g.clone());
+            }
         }
         Op::Sub(a, b) => {
-            accumulate(grads, *a, g.clone());
-            accumulate(grads, *b, g.scale(-1.0));
+            if live(*a) {
+                accumulate(grads, *a, g.clone());
+            }
+            if live(*b) {
+                accumulate(grads, *b, g.scale(-1.0));
+            }
         }
         Op::Mul(a, b) => {
             let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
-            accumulate(grads, *a, g.mul(bv));
-            accumulate(grads, *b, g.mul(av));
+            if live(*a) {
+                accumulate(grads, *a, g.mul(bv));
+            }
+            if live(*b) {
+                accumulate(grads, *b, g.mul(av));
+            }
         }
         Op::AddRowBroadcast { x, row } => {
-            accumulate(grads, *x, g.clone());
-            accumulate(grads, *row, g.col_sums());
+            if live(*x) {
+                accumulate(grads, *x, g.clone());
+            }
+            if live(*row) {
+                accumulate(grads, *row, g.col_sums());
+            }
         }
         Op::MulColBroadcast { x, col } => {
             let (xv, cv) = (&nodes[*x].value, &nodes[*col].value);
-            accumulate(grads, *x, g.mul_col_broadcast(cv));
-            // d col[r] = Σ_c g[r,c] * x[r,c]
-            accumulate(grads, *col, g.mul(xv).row_sums());
+            if live(*x) {
+                accumulate(grads, *x, g.mul_col_broadcast(cv));
+            }
+            if live(*col) {
+                // d col[r] = Σ_c g[r,c] * x[r,c]
+                accumulate(grads, *col, g.mul(xv).row_sums());
+            }
         }
         Op::Scale(x, alpha) => {
             accumulate(grads, *x, g.scale(*alpha));
@@ -695,44 +785,55 @@ fn backpropagate(nodes: &[Node], i: usize, g: &Matrix, grads: &mut [Option<Matri
             let m = src.len();
             // Plain slices: the Rc handles are not Sync, their contents are.
             let (src, dst): (&[u32], &[u32]) = (src, dst);
-            // d_alpha[e] = ⟨g[dst[e]], h[src[e]]⟩ is edge-disjoint: parallel.
-            let mut d_alpha = Matrix::zeros(m, 1);
-            d_alpha.par_rows_mut(|e, out| {
-                let (s, d) = (src[e] as usize, dst[e] as usize);
-                out[0] = g
-                    .row(d)
-                    .iter()
-                    .zip(h_v.row(s))
-                    .map(|(&gv, &hv)| gv * hv)
-                    .sum();
-            });
-            // d_h[src[e]] += alpha[e] * g[dst[e]] scatters to shared rows:
-            // stays sequential (not row-disjoint).
-            let mut d_h = Matrix::zeros(h_v.rows(), h_v.cols());
-            for e in 0..m {
-                let (s, d) = (src[e] as usize, dst[e] as usize);
-                let g_row = g.row(d);
-                let a = alpha_v.as_slice()[e];
-                let cols = d_h.cols();
-                let dst_row = &mut d_h.as_mut_slice()[s * cols..(s + 1) * cols];
-                for (o, &gv) in dst_row.iter_mut().zip(g_row) {
-                    *o += a * gv;
-                }
+            if live(*alpha) {
+                // d_alpha[e] = ⟨g[dst[e]], h[src[e]]⟩ is edge-disjoint:
+                // parallel.
+                let mut d_alpha = Matrix::zeros(m, 1);
+                d_alpha.par_rows_mut(|e, out| {
+                    let (s, d) = (src[e] as usize, dst[e] as usize);
+                    out[0] = g
+                        .row(d)
+                        .iter()
+                        .zip(h_v.row(s))
+                        .map(|(&gv, &hv)| gv * hv)
+                        .sum();
+                });
+                accumulate(grads, *alpha, d_alpha);
             }
-            accumulate(grads, *alpha, d_alpha);
-            accumulate(grads, *h, d_h);
+            if live(*h) {
+                // d_h[src[e]] += alpha[e] * g[dst[e]] scatters to shared
+                // rows: stays sequential (not row-disjoint).
+                let mut d_h = Matrix::zeros(h_v.rows(), h_v.cols());
+                for e in 0..m {
+                    let (s, d) = (src[e] as usize, dst[e] as usize);
+                    let g_row = g.row(d);
+                    let a = alpha_v.as_slice()[e];
+                    let cols = d_h.cols();
+                    let dst_row = &mut d_h.as_mut_slice()[s * cols..(s + 1) * cols];
+                    for (o, &gv) in dst_row.iter_mut().zip(g_row) {
+                        *o += a * gv;
+                    }
+                }
+                accumulate(grads, *h, d_h);
+            }
         }
         Op::HCat(a, b) => {
             let (ra, ca) = nodes[*a].value.shape();
             let (_, cb) = nodes[*b].value.shape();
-            let mut da = Matrix::zeros(ra, ca);
-            let mut db = Matrix::zeros(ra, cb);
-            for r in 0..ra {
-                da.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                db.row_mut(r).copy_from_slice(&g.row(r)[ca..ca + cb]);
+            if live(*a) {
+                let mut da = Matrix::zeros(ra, ca);
+                for r in 0..ra {
+                    da.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
+                }
+                accumulate(grads, *a, da);
             }
-            accumulate(grads, *a, da);
-            accumulate(grads, *b, db);
+            if live(*b) {
+                let mut db = Matrix::zeros(ra, cb);
+                for r in 0..ra {
+                    db.row_mut(r).copy_from_slice(&g.row(r)[ca..ca + cb]);
+                }
+                accumulate(grads, *b, db);
+            }
         }
     }
 }
@@ -904,6 +1005,21 @@ mod tests {
             assert!(tape.is_empty());
         }
         assert!(grads_seen.iter().all(|g| g == &grads_seen[0]));
+    }
+
+    #[test]
+    fn constant_flag_marks_nodes_no_parameter_feeds() {
+        let mut store = ParamStore::new();
+        let w = store.insert(Matrix::filled(2, 1, 0.5));
+        let tape = Tape::new();
+        let x = tape.constant(Matrix::filled(3, 2, 1.0));
+        let scaled = x.scale(2.0);
+        let wv = tape.param(&store, w);
+        let y = scaled.matmul(&wv);
+        let loss = y.sum_all();
+        let constant = |v: &Var| tape.inner.borrow().nodes[v.idx].constant;
+        assert!(constant(&x) && constant(&scaled));
+        assert!(!constant(&wv) && !constant(&y) && !constant(&loss));
     }
 
     #[test]

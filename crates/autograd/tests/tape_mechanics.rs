@@ -166,3 +166,154 @@ fn gradients_table_is_isolated_per_backward() {
     let b = loss.backward();
     assert_eq!(a.wrt(&x).unwrap().as_slice(), b.wrt(&x).unwrap().as_slice());
 }
+
+// ---------------------------------------------------------------------------
+// Gradient pruning: `backward_into` skips every node no parameter feeds.
+// ---------------------------------------------------------------------------
+
+/// Deterministic pseudo-random values in `[-0.5, 0.5)`.
+fn det_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
+    let mut s = seed.wrapping_mul(2_654_435_761).wrapping_add(12_345);
+    Matrix::from_fn(rows, cols, |_, _| {
+        s ^= s << 13;
+        s ^= s >> 17;
+        s ^= s << 5;
+        (s % 10_000) as f32 / 10_000.0 - 0.5
+    })
+}
+
+/// A ring with chords plus self-loops, as `(src, dst)` edge lists.
+fn ring_edges(n: u32) -> (Rc<Vec<u32>>, Rc<Vec<u32>>) {
+    let mut src = Vec::new();
+    let mut dst = Vec::new();
+    for i in 0..n {
+        for j in [i, (i + 1) % n, (i + n - 1) % n, (i * 7 + 3) % n] {
+            src.push(j);
+            dst.push(i);
+        }
+    }
+    (Rc::new(src), Rc::new(dst))
+}
+
+/// Run the full `backward()` table and the pruned `backward_into` on the
+/// same recording; every parameter gradient must agree bit for bit, and
+/// the full table must still cover the constant leaves.
+fn assert_pruned_grads_match_full(
+    store: &mut ParamStore,
+    loss: &vgod_autograd::Var,
+    params: &[(vgod_autograd::ParamId, vgod_autograd::Var)],
+    constants: &[&vgod_autograd::Var],
+) {
+    let full = loss.backward();
+    store.zero_grads();
+    loss.backward_into(store);
+    for (id, leaf) in params {
+        // backward_into accumulates into a zeroed gradient: replay that add
+        // on the full table's value (it maps -0.0 to +0.0).
+        let g = full.wrt(leaf).expect("every parameter reaches the loss");
+        let mut expected = Matrix::zeros(g.rows(), g.cols());
+        expected.add_assign(g);
+        let got: Vec<u32> = store
+            .grad(*id)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u32> = expected.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "parameter {} gradient differs", id.index());
+    }
+    for c in constants {
+        let g = full
+            .wrt(c)
+            .expect("backward() keeps gradients for constant leaves");
+        assert_eq!(g.shape(), c.shape());
+        assert!(g.max_abs() > 0.0);
+    }
+}
+
+#[test]
+fn pruned_backward_matches_full_table_for_a_gat_stack() {
+    let n = 40;
+    let (src, dst) = ring_edges(n as u32);
+    let (d_in, d_h) = (12, 8);
+    let mut store = ParamStore::new();
+    let w_in = store.insert(det_matrix(d_in, d_h, 1));
+    let b_in = store.insert(det_matrix(1, d_h, 2));
+    let layers: Vec<_> = (0..2)
+        .map(|l| {
+            (
+                store.insert(det_matrix(d_h, d_h, 10 + l)),
+                store.insert(det_matrix(d_h, 1, 20 + l)),
+                store.insert(det_matrix(d_h, 1, 30 + l)),
+            )
+        })
+        .collect();
+    let w_out = store.insert(det_matrix(d_h, d_in, 3));
+    let b_out = store.insert(det_matrix(1, d_in, 4));
+
+    let tape = Tape::new();
+    let x = tape.constant(det_matrix(n, d_in, 5));
+    let mut params = Vec::new();
+    let mut param = |id| {
+        let v = tape.param(&store, id);
+        params.push((id, v.clone()));
+        v
+    };
+    let mut h = x
+        .matmul(&param(w_in))
+        .add_row_broadcast(&param(b_in))
+        .relu();
+    for &(w, a_src, a_dst) in &layers {
+        let wh = h.matmul(&param(w));
+        let s_src = wh.matmul(&param(a_src));
+        let s_dst = wh.matmul(&param(a_dst));
+        let logits = s_src
+            .gather_rows(&src)
+            .add(&s_dst.gather_rows(&dst))
+            .leaky_relu(0.2);
+        let alpha = logits.segment_softmax(&dst);
+        h = alpha.edge_aggregate(&wh, &src, &dst, n).relu();
+    }
+    let recon = h.matmul(&param(w_out)).add_row_broadcast(&param(b_out));
+    // The target is derived from the constant input only, so it is itself
+    // a constant node that pruning skips.
+    let target = x.scale(0.5);
+    let loss = recon.sub(&target).square().mean_all();
+    assert_pruned_grads_match_full(&mut store, &loss, &params, &[&x, &target]);
+}
+
+#[test]
+fn pruned_backward_matches_full_table_for_a_vbm_loss() {
+    let n = 30;
+    let mean_adj = |edges: &[(u32, u32)]| {
+        Rc::new(
+            Csr::from_edges(n, n, edges)
+                .expect("edges in range")
+                .row_normalized(),
+        )
+    };
+    let pos: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|i| [(i, i), (i, (i + 1) % n as u32), ((i + 1) % n as u32, i)])
+        .collect();
+    let neg: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|i| [(i, i), (i, (i * 11 + 5) % n as u32)])
+        .collect();
+    let (pos, neg) = (mean_adj(&pos), mean_adj(&neg));
+    let mut store = ParamStore::new();
+    let w = store.insert(det_matrix(10, 6, 7));
+    let b = store.insert(det_matrix(1, 6, 8));
+
+    let tape = Tape::new();
+    let x = tape.constant(det_matrix(n, 10, 9));
+    let (wv, bv) = (tape.param(&store, w), tape.param(&store, b));
+    let h = x.matmul(&wv).add_row_broadcast(&bv).l2_normalize_rows();
+    let variance = |adj: &Rc<Csr>| {
+        h.square()
+            .spmm(adj)
+            .sub(&h.spmm(adj).square())
+            .row_sum()
+            .mean_all()
+    };
+    let loss = variance(&pos).sub(&variance(&neg));
+    assert_pruned_grads_match_full(&mut store, &loss, &[(w, wv), (b, bv)], &[&x]);
+}

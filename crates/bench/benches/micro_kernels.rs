@@ -1,7 +1,9 @@
 //! Criterion microbenchmarks for the hot kernels behind the experiments:
 //! dense GEMM, sparse message passing, neighbour variance, negative-edge
 //! sampling and AUC computation — plus a scalar-vs-dispatched SIMD A/B
-//! sweep written to `BENCH_simd.json` at the repository root.
+//! sweep written to `BENCH_simd.json` at the repository root. The sweep's
+//! backward-pass GEMM shapes also time the reference formulation each must
+//! equal bitwise (asserted on both ISAs before timing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cell::Cell;
@@ -168,6 +170,9 @@ struct SimdResult {
     name: &'static str,
     scalar_ns: f64,
     simd_ns: f64,
+    /// Dispatched time of the reference formulation, for the backward
+    /// GEMM shapes.
+    reference_ns: Option<f64>,
 }
 
 /// Time `routine` with the scalar kernels forced and again dispatched.
@@ -189,7 +194,47 @@ fn simd_ab<O>(c: &mut Criterion, name: &'static str, mut routine: impl FnMut() -
         name,
         scalar_ns,
         simd_ns: median.get(),
+        reference_ns: None,
     }
+}
+
+/// [`simd_ab`] for a backward-pass GEMM shape: first assert the kernel's
+/// output equals `reference`'s bit for bit on both ISAs, then time both
+/// legs of the kernel and the dispatched reference.
+fn backward_ab(
+    c: &mut Criterion,
+    name: &'static str,
+    mut kernel: impl FnMut() -> Matrix,
+    mut reference: impl FnMut() -> Matrix,
+) -> SimdResult {
+    for scalar in [true, false] {
+        simd::force_scalar(scalar);
+        assert_eq!(
+            kernel().as_slice(),
+            reference().as_slice(),
+            "{name}: kernel differs from its reference (scalar forced: {scalar})"
+        );
+    }
+    let median = Cell::new(0.0f64);
+    c.bench_function(&format!("{name}/reference"), |b| {
+        b.iter(&mut reference);
+        median.set(b.median_ns());
+    });
+    let mut result = simd_ab(c, name, kernel);
+    result.reference_ns = Some(median.get());
+    result
+}
+
+/// The k-sequential multiply-then-add chain per row: the accumulation
+/// order every narrow (`n < 8`) product keeps, here for `n == 1`.
+fn matvec_chain(a: &Matrix, x: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), 1, |i, _| {
+        let mut acc = 0.0f32;
+        for (kk, &v) in a.row(i).iter().enumerate() {
+            acc += v * x.as_slice()[kk];
+        }
+        acc
+    })
 }
 
 /// Scalar-vs-dispatched A/B over every dispatched kernel family, at the
@@ -206,15 +251,52 @@ fn bench_simd_ab(c: &mut Criterion) {
     let h = Matrix::from_fn(N, D, |r, cc| ((r * 5 + cc * 3) % 13) as f32 * 0.15 - 0.9);
     let w = Matrix::from_fn(D, D, |r, cc| ((r * 7 + cc) % 11) as f32 * 0.1 - 0.5);
     let h2 = Matrix::from_fn(N, D, |r, cc| ((r + cc * 7) % 9) as f32 * 0.2 - 0.8);
+    // Backward-pass operands: the 128-wide input of a first layer, the GAT
+    // attention gradient column and attention vector.
+    let x128 = Matrix::from_fn(N, 2 * D, |r, cc| ((r * 3 + cc * 5) % 17) as f32 * 0.1 - 0.8);
+    let g1 = Matrix::from_fn(N, 1, |r, _| (r % 23) as f32 * 0.05 - 0.5);
+    let a1 = Matrix::from_fn(D, 1, |r, _| (r % 7) as f32 * 0.2 - 0.6);
 
     threading::force_sequential(true);
     let mut results = Vec::new();
     results.push(simd_ab(c, "matmul_10000x64x64", || {
         std::hint::black_box(h.matmul(&w))
     }));
-    results.push(simd_ab(c, "matmul_tn_10000x64", || {
-        std::hint::black_box(h.matmul_tn(&h2))
-    }));
+    // dW of a first layer: n×128ᵀ · n×64.
+    results.push(backward_ab(
+        c,
+        "matmul_tn_10000x128x64",
+        || std::hint::black_box(x128.matmul_tn(&h2)),
+        || x128.transpose().matmul(&h2),
+    ));
+    // dW of a hidden layer: n×64ᵀ · n×64.
+    results.push(backward_ab(
+        c,
+        "matmul_tn_10000x64",
+        || std::hint::black_box(h.matmul_tn(&h2)),
+        || h.transpose().matmul(&h2),
+    ));
+    // GAT attention-vector gradient: n×64ᵀ · n×1.
+    results.push(backward_ab(
+        c,
+        "matmul_tn_10000x64x1",
+        || std::hint::black_box(h.matmul_tn(&g1)),
+        || h.transpose().matmul(&g1),
+    ));
+    // GAT attention logits: n×64 · 64×1.
+    results.push(backward_ab(
+        c,
+        "matmul_10000x64x1",
+        || std::hint::black_box(h.matmul(&a1)),
+        || matvec_chain(&h, &a1),
+    ));
+    // GAT feature gradient from the logits: n×1 · (64×1)ᵀ.
+    results.push(backward_ab(
+        c,
+        "matmul_nt_10000x1x64",
+        || std::hint::black_box(g1.matmul_nt(&a1)),
+        || g1.matmul(&a1.transpose()),
+    ));
     results.push(simd_ab(c, "matmul_nt_10000x64", || {
         std::hint::black_box(h.matmul_nt(&h2))
     }));
@@ -286,6 +368,7 @@ fn bench_simd_ab(c: &mut Criterion) {
         name: "fused_adam_pass_10000x64",
         scalar_ns,
         simd_ns: median.get(),
+        reference_ns: None,
     });
     threading::force_sequential(false);
 
@@ -302,6 +385,15 @@ fn write_simd_json(results: &[SimdResult], n: usize, d: usize) {
         "  \"isa\": \"{}\",\n",
         simd::detected_isa().name()
     ));
+    out.push_str(&format!(
+        "  \"host_cpus\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    ));
+    out.push_str(
+        "  \"note\": \"single-threaded; reference_ns times the formulation a backward GEMM \
+         must equal bit for bit (transpose-then-matmul for AᵀB, matmul against the transposed \
+         right operand for the k=1 outer product, the one-chain-per-row loop for n=1)\",\n",
+    );
     out.push_str("  \"kernels\": [\n");
     for (i, r) in results.iter().enumerate() {
         let speedup = if r.simd_ns > 0.0 {
@@ -309,12 +401,20 @@ fn write_simd_json(results: &[SimdResult], n: usize, d: usize) {
         } else {
             1.0
         };
+        let reference = match r.reference_ns {
+            Some(ns) => format!(
+                ", \"reference_ns\": {ns:.0}, \"vs_reference\": {:.3}",
+                ns / r.simd_ns.max(1.0)
+            ),
+            None => String::new(),
+        };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {:.0}, \"simd_ns\": {:.0}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"scalar_ns\": {:.0}, \"simd_ns\": {:.0}, \"speedup\": {:.3}{}}}{}\n",
             r.name,
             r.scalar_ns,
             r.simd_ns,
             speedup,
+            reference,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }

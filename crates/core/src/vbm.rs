@@ -57,9 +57,10 @@ impl Vbm {
         self.state.is_some()
     }
 
-    /// Train on `g` (unsupervised). See [`Vbm::fit_with_callback`].
+    /// Train on `g` (unsupervised). Same training as
+    /// [`Vbm::fit_with_callback`], without the per-epoch score snapshots.
     pub fn fit(&mut self, g: &AttributedGraph) {
-        self.fit_with_callback(g, |_| {});
+        self.train(g, None);
     }
 
     /// Train on `g`, invoking `callback` with a snapshot after every epoch
@@ -69,6 +70,18 @@ impl Vbm {
         &mut self,
         g: &AttributedGraph,
         mut callback: impl FnMut(&VbmEpochSnapshot),
+    ) {
+        self.train(g, Some(&mut callback));
+    }
+
+    /// The training loop behind [`Vbm::fit`] and [`Vbm::fit_with_callback`].
+    /// Snapshots score every node, so they are only computed for a
+    /// callback; scoring draws no randomness, so skipping it leaves the
+    /// trained parameters unchanged.
+    fn train(
+        &mut self,
+        g: &AttributedGraph,
+        mut callback: Option<&mut dyn FnMut(&VbmEpochSnapshot)>,
     ) {
         let mut rng = seeded_rng(self.cfg.seed);
         let mut store = ParamStore::new();
@@ -85,11 +98,13 @@ impl Vbm {
         let x = g.attrs().clone();
 
         // Epoch 0 snapshot (untrained).
-        callback(&VbmEpochSnapshot {
-            epoch: 0,
-            loss: f32::NAN,
-            scores: scores_for(&linear, &store, g, self_loops),
-        });
+        if let Some(cb) = callback.as_mut() {
+            cb(&VbmEpochSnapshot {
+                epoch: 0,
+                loss: f32::NAN,
+                scores: scores_for(&linear, &store, g, self_loops),
+            });
+        }
 
         Trainer::new(self.cfg.epochs, self.cfg.lr).run(
             &mut store,
@@ -102,11 +117,13 @@ impl Vbm {
                 loss_pos.sub(&loss_neg)
             },
             |epoch, loss, store| {
-                callback(&VbmEpochSnapshot {
-                    epoch,
-                    loss,
-                    scores: scores_for(&linear, store, g, self_loops),
-                });
+                if let Some(cb) = callback.as_mut() {
+                    cb(&VbmEpochSnapshot {
+                        epoch,
+                        loss,
+                        scores: scores_for(&linear, store, g, self_loops),
+                    });
+                }
             },
         );
         self.state = Some(VbmState {

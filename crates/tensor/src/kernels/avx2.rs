@@ -20,8 +20,14 @@
 //!   scalar fallback performs on the same lane grouping, so those kernels
 //!   are bitwise identical across ISAs.
 
-use super::{scalar, AdamStep, KC, MR, NR};
+use super::{scalar, AdamStep, Panels, KC, MR, NR};
 use std::arch::x86_64::*;
+
+/// k-block size of the AᵀB driver. Its operands are tall (`k` is the node
+/// count) while the output is small (`m, n` are feature widths), so a k-block
+/// sweeps the whole output tile set: short blocks keep that set, the A
+/// rows and the B panel rows of one block L1-resident together.
+const KC_TN: usize = 32;
 
 /// Collapse one 8-lane register with the fixed pairwise tree mirrored by
 /// [`scalar::hsum8`]: high half onto low half, then again, then the pair.
@@ -36,52 +42,90 @@ unsafe fn hsum256(v: __m256) -> f32 {
     _mm_cvtss_f32(s)
 }
 
-/// Register-tiled GEMM over a packed B (see [`super::pack_b`]): MR×NR tiles
-/// (4 rows × 16 columns = 8 `ymm` accumulators), cache-blocked over k in
-/// [`KC`]-sized panels so the active B panel block stays L1-resident. The
-/// k-blocks continue accumulation element-wise through `out` (load, fma,
-/// store), so the per-element order stays strictly k-sequential.
+/// Register-tiled GEMM over a packed B (see [`super::pack_b`]).
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn gemm_nn(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize, n: usize) {
+    gemm::<false>(out, a, k, Panels::packed(bp, k), m, k, n);
+}
+
+/// Register-tiled `aᵀ · B` reading `a` in place (see [`super::gemm_tn`]):
+/// the micro-tile broadcasts `a[kk, i..i+MR]`, four consecutive floats of
+/// one row, where [`gemm_nn`] broadcasts one float from each of four rows.
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn gemm_tn(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: Panels,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm::<true>(out, a, lda, b, m, k, n);
+}
+
+/// The shared GEMM driver: MR×NR register tiles (4 rows × 16 columns = 8
+/// `ymm` accumulators), cache-blocked over k in [`KC`]-sized steps
+/// ([`KC_TN`] for AᵀB) so the active B panel block stays L1-resident. The
+/// k-blocks continue accumulation element-wise through `out` (load, fma,
+/// store), so the per-element order stays strictly k-sequential whatever
+/// the block size.
+///
+/// Left-operand element `(i, kk)` is `a[i·lda + kk]` when `!TN` and
+/// `a[kk·lda + i]` when `TN`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gemm<const TN: bool>(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: Panels,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let panels = n.div_ceil(NR);
-    for p in 0..panels {
-        let j0 = p * NR;
-        let nr = NR.min(n - j0);
-        let panel = bp.as_ptr().add(p * k * NR);
-        let mut kb = 0;
-        while kb < k {
-            let ke = (kb + KC).min(k);
-            let first = kb == 0;
+    let kc = if TN { KC_TN } else { KC };
+    let mut kb = 0;
+    while kb < k {
+        let ke = (kb + kc).min(k);
+        let first = kb == 0;
+        for p in 0..panels {
+            let j0 = p * NR;
+            let nr = NR.min(n - j0);
+            let panel = b.data.as_ptr().add(p * b.panel_step);
+            let ldb = b.ldb;
             let mut i = 0;
             if nr == NR {
                 while i + MR <= m {
-                    tile4(
+                    tile4::<TN>(
                         out.as_mut_ptr().add(i * n + j0),
                         n,
-                        a.as_ptr().add(i * k),
-                        k,
+                        a_row::<TN>(a, lda, i),
+                        lda,
                         panel,
-                        kb,
-                        ke,
+                        ldb,
+                        kb..ke,
                         first,
                     );
                     i += MR;
                 }
                 while i < m {
-                    tile1(
+                    tile1::<TN>(
                         out.as_mut_ptr().add(i * n + j0),
-                        a.as_ptr().add(i * k),
+                        a_row::<TN>(a, lda, i),
+                        lda,
                         panel,
-                        kb,
-                        ke,
+                        ldb,
+                        kb..ke,
                         first,
                     );
                     i += 1;
                 }
             } else {
-                // Edge panel: run the full-width tile against a padded
-                // scratch buffer; padding lanes multiply packed zeros and
-                // are discarded on copy-out.
+                // Edge panel (always packed): run the full-width tile
+                // against a padded scratch buffer; padding lanes multiply
+                // packed zeros and are discarded on copy-out.
                 while i + MR <= m {
                     let mut scratch = [0.0f32; MR * NR];
                     if !first {
@@ -90,14 +134,14 @@ pub(crate) unsafe fn gemm_nn(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k
                             scratch[r * NR..r * NR + nr].copy_from_slice(&out[o..o + nr]);
                         }
                     }
-                    tile4(
+                    tile4::<TN>(
                         scratch.as_mut_ptr(),
                         NR,
-                        a.as_ptr().add(i * k),
-                        k,
+                        a_row::<TN>(a, lda, i),
+                        lda,
                         panel,
-                        kb,
-                        ke,
+                        ldb,
+                        kb..ke,
                         first,
                     );
                     for r in 0..MR {
@@ -111,21 +155,40 @@ pub(crate) unsafe fn gemm_nn(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k
                     if !first {
                         scratch[..nr].copy_from_slice(&out[i * n + j0..i * n + j0 + nr]);
                     }
-                    tile1(
+                    tile1::<TN>(
                         scratch.as_mut_ptr(),
-                        a.as_ptr().add(i * k),
+                        a_row::<TN>(a, lda, i),
+                        lda,
                         panel,
-                        kb,
-                        ke,
+                        ldb,
+                        kb..ke,
                         first,
                     );
                     out[i * n + j0..i * n + j0 + nr].copy_from_slice(&scratch[..nr]);
                     i += 1;
                 }
             }
-            kb = ke;
         }
+        kb = ke;
     }
+}
+
+/// Pointer to left-operand element `(i, 0)`.
+///
+/// # Safety
+/// `i` must index a row of the operand (`i < m`).
+#[inline]
+unsafe fn a_row<const TN: bool>(a: &[f32], lda: usize, i: usize) -> *const f32 {
+    a.as_ptr().add(if TN { i } else { i * lda })
+}
+
+/// Left-operand element `(r, kk)` relative to a tile's first row `a`.
+///
+/// # Safety
+/// `a` must come from [`a_row`] and `(r, kk)` stay inside the operand.
+#[inline]
+unsafe fn a_at<const TN: bool>(a: *const f32, lda: usize, r: usize, kk: usize) -> f32 {
+    *a.add(if TN { kk * lda + r } else { r * lda + kk })
 }
 
 /// 4×16 register tile: 8 accumulators, 2 B loads and 4 A broadcasts per k
@@ -133,14 +196,14 @@ pub(crate) unsafe fn gemm_nn(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k
 #[allow(clippy::too_many_arguments)]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tile4(
+unsafe fn tile4<const TN: bool>(
     dst: *mut f32,
     stride: usize,
     a: *const f32,
     lda: usize,
     panel: *const f32,
-    kb: usize,
-    ke: usize,
+    ldb: usize,
+    ks: std::ops::Range<usize>,
     first: bool,
 ) {
     let mut acc = [[_mm256_setzero_ps(); 2]; MR];
@@ -150,11 +213,11 @@ unsafe fn tile4(
             accr[1] = _mm256_loadu_ps(dst.add(r * stride + 8));
         }
     }
-    for kk in kb..ke {
-        let b0 = _mm256_loadu_ps(panel.add(kk * NR));
-        let b1 = _mm256_loadu_ps(panel.add(kk * NR + 8));
+    for kk in ks {
+        let b0 = _mm256_loadu_ps(panel.add(kk * ldb));
+        let b1 = _mm256_loadu_ps(panel.add(kk * ldb + 8));
         for (r, accr) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*a.add(r * lda + kk));
+            let av = _mm256_set1_ps(a_at::<TN>(a, lda, r, kk));
             accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
             accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
         }
@@ -168,12 +231,13 @@ unsafe fn tile4(
 /// 1×16 remainder tile for the last `m % MR` rows.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tile1(
+unsafe fn tile1<const TN: bool>(
     dst: *mut f32,
     a: *const f32,
+    lda: usize,
     panel: *const f32,
-    kb: usize,
-    ke: usize,
+    ldb: usize,
+    ks: std::ops::Range<usize>,
     first: bool,
 ) {
     let mut acc0 = _mm256_setzero_ps();
@@ -182,13 +246,83 @@ unsafe fn tile1(
         acc0 = _mm256_loadu_ps(dst);
         acc1 = _mm256_loadu_ps(dst.add(8));
     }
-    for kk in kb..ke {
-        let av = _mm256_set1_ps(*a.add(kk));
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(panel.add(kk * NR)), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(panel.add(kk * NR + 8)), acc1);
+    for kk in ks {
+        let av = _mm256_set1_ps(a_at::<TN>(a, lda, 0, kk));
+        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(panel.add(kk * ldb)), acc0);
+        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(panel.add(kk * ldb + 8)), acc1);
     }
     _mm256_storeu_ps(dst, acc0);
     _mm256_storeu_ps(dst.add(8), acc1);
+}
+
+/// `aᵀ · B` for `n < NARROW`, vectorised across output rows: a row of `a`
+/// holds consecutive output rows, so one load feeds eight outputs. Each
+/// output keeps the multiply-then-add chain of [`scalar::gemm_narrow`]
+/// (no FMA), so the result is bitwise equal to [`scalar::gemm_tn_narrow`].
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn gemm_tn_narrow(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: Panels,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    const V: usize = 4; // 8-lane accumulators per block: 32 rows
+    let bptr = b.data.as_ptr();
+    for j in 0..n {
+        let mut i = 0;
+        while i + 8 <= m {
+            let vs = V.min((m - i) / 8);
+            let mut acc = [_mm256_setzero_ps(); V];
+            for kk in 0..k {
+                let bv = _mm256_set1_ps(*bptr.add(kk * b.ldb + j));
+                let ap = a.as_ptr().add(kk * lda + i);
+                for (u, accu) in acc[..vs].iter_mut().enumerate() {
+                    let prod = _mm256_mul_ps(_mm256_loadu_ps(ap.add(u * 8)), bv);
+                    *accu = _mm256_add_ps(*accu, prod);
+                }
+            }
+            for (u, accu) in acc[..vs].iter().enumerate() {
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), *accu);
+                for (l, &v) in lanes.iter().enumerate() {
+                    out[(i + u * 8 + l) * n + j] = v;
+                }
+            }
+            i += vs * 8;
+        }
+        for r in i..m {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[kk * lda + r] * b.data[kk * b.ldb + j];
+            }
+            out[r * n + j] = acc;
+        }
+    }
+}
+
+/// Outer product `out[i, j] = 0 + (0 + a[i] · b[j])`, bitwise equal to
+/// [`scalar::outer`] (single-rounded mul and adds, no FMA).
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn outer(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
+    let zero = _mm256_setzero_ps();
+    let chunks = n / 8;
+    for (i, &ai) in a.iter().enumerate() {
+        let row = out.as_mut_ptr().add(i * n);
+        let av = _mm256_set1_ps(ai);
+        for c in 0..chunks {
+            let prod = _mm256_mul_ps(av, _mm256_loadu_ps(b.as_ptr().add(c * 8)));
+            _mm256_storeu_ps(
+                row.add(c * 8),
+                _mm256_add_ps(zero, _mm256_add_ps(zero, prod)),
+            );
+        }
+        for (j, &bj) in b.iter().enumerate().skip(chunks * 8) {
+            *row.add(j) = 0.0 + (0.0 + ai * bj);
+        }
+    }
 }
 
 /// Dot-product GEMM for `matmul_nt`: 4 output columns share each A load,

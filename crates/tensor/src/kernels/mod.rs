@@ -32,6 +32,9 @@ pub(crate) const NR: usize = 16;
 /// GEMM register-tile height (rows), AVX2 micro-kernel only.
 #[cfg(target_arch = "x86_64")]
 pub(crate) const MR: usize = 4;
+/// Outputs narrower than this skip the 16-wide register tiles (most of
+/// each tile would be padding) for a per-element multiply-then-add chain.
+pub(crate) const NARROW: usize = 8;
 /// k-block size for GEMM cache blocking: one `KC × NR` B panel block is
 /// `KC·NR·4 B = 32 KiB`, sized to stay L1-resident while it is reused
 /// across every row tile of a band.
@@ -92,18 +95,93 @@ pub(crate) fn pack_b(bp: &mut [f32], b: &[f32], k: usize, n: usize) {
     }
 }
 
+/// Where the `NR`-wide column panels of a GEMM right operand live: row
+/// `kk` of panel `p` starts at `data[p · panel_step + kk · ldb]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Panels<'a> {
+    data: &'a [f32],
+    panel_step: usize,
+    ldb: usize,
+}
+
+impl<'a> Panels<'a> {
+    /// Panels packed by [`pack_b`]: contiguous `k × NR` blocks.
+    pub(crate) fn packed(bp: &'a [f32], k: usize) -> Self {
+        Self {
+            data: bp,
+            panel_step: k * NR,
+            ldb: NR,
+        }
+    }
+
+    /// The row-major `k × n` operand read in place. The wide kernels need
+    /// `n` to be a multiple of `NR` (no ragged edge panel); the narrow ones
+    /// (`n < NARROW`) read any `n`.
+    pub(crate) fn direct(b: &'a [f32], n: usize) -> Self {
+        Self {
+            data: b,
+            panel_step: NR,
+            ldb: n,
+        }
+    }
+}
+
 /// Band GEMM `out = a · B` against a packed B (`bp`): `out` is an
 /// `m × n` row band, `a` the matching `m × k` rows of the left operand.
 pub(crate) fn gemm_nn(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
-    if n < 8 {
-        // Narrow outputs would waste most of a 16-wide tile on padding.
+    if n < NARROW {
         return scalar::gemm_narrow(out, a, bp, m, k, n);
     }
     dispatch!(
         scalar::gemm_nn(out, a, bp, m, k, n),
         avx2::gemm_nn(out, a, bp, m, k, n)
+    )
+}
+
+/// Band GEMM `out = aᵀ · B` with the left operand read in place: `out` is
+/// an `m × n` row band whose row `i` is column `i` of `a` (`k` rows of
+/// stride `lda`, so element `(kk, i)` sits at `a[kk · lda + i]`).
+///
+/// Every output element runs the same k-sequential chain as [`gemm_nn`]
+/// on the transposed operand — FMA on the AVX2 wide path, multiply then
+/// add on the scalar and narrow (`n < NARROW`) paths — so the result is
+/// bitwise equal to transposing `a` and calling [`gemm_nn`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tn(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: Panels,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    // The AVX2 kernels read both operands through raw pointers.
+    assert_eq!(out.len(), m * n);
+    if m == 0 || k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    assert!(
+        a.len() >= (k - 1) * lda + m,
+        "gemm_tn: left operand too short"
+    );
+    if n < NARROW {
+        assert!(b.data.len() >= (k - 1) * b.ldb + n);
+        return dispatch!(
+            scalar::gemm_tn_narrow(out, a, lda, b, m, k, n),
+            avx2::gemm_tn_narrow(out, a, lda, b, m, k, n)
+        );
+    }
+    assert!(
+        b.data.len() >= (n.div_ceil(NR) - 1) * b.panel_step + (k - 1) * b.ldb + NR,
+        "gemm_tn: right operand too short for its panels (a ragged width must be packed)"
+    );
+    dispatch!(
+        scalar::gemm_tn(out, a, lda, b, m, k, n),
+        avx2::gemm_tn(out, a, lda, b, m, k, n)
     )
 }
 
@@ -113,6 +191,12 @@ pub(crate) fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize,
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
+    if k == 1 {
+        // An outer product: both dot kernels reduce a one-element row to
+        // `0 + (0 + a·b)` (zero lane tree plus a one-term tail), which the
+        // outer-product kernels compute directly.
+        return dispatch!(scalar::outer(out, a, b, n), avx2::outer(out, a, b, n));
+    }
     dispatch!(
         scalar::gemm_nt(out, a, b, m, k, n),
         avx2::gemm_nt(out, a, b, m, k, n)

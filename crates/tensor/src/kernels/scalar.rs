@@ -15,7 +15,7 @@
 //! - Elementwise kernels and [`fused_adam`] are single correctly-rounded
 //!   IEEE ops per element and therefore also bitwise identical across ISAs.
 
-use super::{AdamStep, NR};
+use super::{AdamStep, Panels, NR};
 
 /// `out[i, j0..j0+nr] = Σ_k a[i, k] · panel[k, j]` for one packed B panel.
 ///
@@ -49,6 +49,9 @@ pub(crate) fn gemm_nn(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize
 /// its lanes on padding.
 pub(crate) fn gemm_narrow(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize, n: usize) {
     debug_assert!(n < NR);
+    if n == 1 {
+        return gemv(out, a, bp, m, k);
+    }
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -59,6 +62,123 @@ pub(crate) fn gemm_narrow(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: u
             }
         }
         out_row.copy_from_slice(&tile[..n]);
+    }
+}
+
+/// The `n == 1` case of [`gemm_narrow`] (a matrix–vector product): one
+/// k-sequential multiply-then-add chain per row, with eight rows advancing
+/// together so eight independent chains are in flight.
+fn gemv(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize) {
+    const ROWS: usize = 8;
+    if k == 0 {
+        out[..m].fill(0.0);
+        return;
+    }
+    let full = m / ROWS * ROWS;
+    for (o, block) in out[..full]
+        .chunks_exact_mut(ROWS)
+        .zip(a.chunks_exact(ROWS * k))
+    {
+        let rows: [&[f32]; ROWS] = std::array::from_fn(|r| &block[r * k..(r + 1) * k]);
+        let mut acc = [0.0f32; ROWS];
+        for (kk, b_row) in bp.chunks_exact(NR).take(k).enumerate() {
+            for (t, row) in acc.iter_mut().zip(&rows) {
+                *t += row[kk] * b_row[0];
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+    for (o, row) in out[full..m].iter_mut().zip(a[full * k..].chunks_exact(k)) {
+        let mut acc = 0.0f32;
+        for (&aik, b_row) in row.iter().zip(bp.chunks_exact(NR)) {
+            acc += aik * b_row[0];
+        }
+        *o = acc;
+    }
+}
+
+/// `out = aᵀ · B` for `n ≥ NARROW` with `a` read in place (see
+/// [`super::gemm_tn`]). Four output rows share each B panel row; every
+/// element accumulates k-sequentially with multiply-then-add rounding,
+/// exactly as [`gemm_nn`] does on the transposed operand.
+pub(crate) fn gemm_tn(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: Panels,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    const ROWS: usize = 4;
+    for p in 0..n.div_ceil(NR) {
+        let j0 = p * NR;
+        let nr = NR.min(n - j0);
+        let panel = &b.data[p * b.panel_step..];
+        let mut i = 0;
+        while i < m {
+            let rows = ROWS.min(m - i);
+            let mut tile = [[0.0f32; NR]; ROWS];
+            for kk in 0..k {
+                let b_row = &panel[kk * b.ldb..kk * b.ldb + NR];
+                let a_seg = &a[kk * lda + i..kk * lda + i + rows];
+                for (t, &aik) in tile.iter_mut().zip(a_seg) {
+                    for (x, &bv) in t.iter_mut().zip(b_row) {
+                        *x += aik * bv;
+                    }
+                }
+            }
+            for (r, t) in tile[..rows].iter().enumerate() {
+                let o = (i + r) * n + j0;
+                out[o..o + nr].copy_from_slice(&t[..nr]);
+            }
+            i += rows;
+        }
+    }
+}
+
+/// `out = aᵀ · B` for `n < NARROW`: vectorised across output rows (a row of
+/// `a` holds consecutive output rows) while each output keeps the
+/// k-sequential multiply-then-add chain of [`gemm_narrow`].
+pub(crate) fn gemm_tn_narrow(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: Panels,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    const ROWS: usize = 16;
+    for j in 0..n {
+        let mut i = 0;
+        while i < m {
+            let rows = ROWS.min(m - i);
+            let mut acc = [0.0f32; ROWS];
+            for kk in 0..k {
+                let bv = b.data[kk * b.ldb + j];
+                for (t, &av) in acc.iter_mut().zip(&a[kk * lda + i..kk * lda + i + rows]) {
+                    *t += av * bv;
+                }
+            }
+            for (r, &v) in acc[..rows].iter().enumerate() {
+                out[(i + r) * n + j] = v;
+            }
+            i += rows;
+        }
+    }
+}
+
+/// `out[i, j] = 0 + (0 + a[i] · b[j])`: the `k == 1` case of [`gemm_nt`],
+/// bitwise equal to what [`dot`] returns for one-element rows.
+pub(crate) fn outer(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
+    if n == 0 {
+        return;
+    }
+    for (row, &ai) in out.chunks_exact_mut(n).zip(a) {
+        for (o, &bj) in row.iter_mut().zip(b) {
+            *o = 0.0 + (0.0 + ai * bj);
+        }
     }
 }
 

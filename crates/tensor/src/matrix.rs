@@ -758,6 +758,14 @@ impl Matrix {
     }
 
     /// Transposed-left product `selfᵀ · other` (`(k×m)ᵀ · k×n → m×n`).
+    ///
+    /// No transpose is materialised: the AᵀB band kernel reads `self` in
+    /// place (a row of `self` holds consecutive output rows) and gives
+    /// every output element the same k-sequential accumulation chain as
+    /// [`Matrix::matmul`], so the result is bitwise equal to
+    /// `self.transpose().matmul(other)`. B is read in place when its width
+    /// is a whole number of 16-wide panels (or narrower than 8) and packed
+    /// otherwise.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows,
@@ -766,11 +774,28 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        // Transpose A once (an exact, parallel elementwise copy) and reuse
-        // the packed NN micro-kernel: a k×m transpose is cheap next to the
-        // m·k·n product, and it keeps a single GEMM accumulation order for
-        // both flavours.
-        self.transpose().matmul(other)
+        let (k, m, n) = (self.rows, self.cols, other.cols);
+        let mut out = Matrix::zeros(m, n);
+        let threads = threads_for(m * k * n, GEMM_FLOP_THRESHOLD);
+        let packed = (n >= kernels::NARROW && !n.is_multiple_of(kernels::NR)).then(|| {
+            let mut bp = crate::arena::alloc_zeroed(kernels::packed_len(k, n));
+            kernels::pack_b(&mut bp, &other.data, k, n);
+            bp
+        });
+        let panels = match &packed {
+            Some(bp) => kernels::Panels::packed(bp, k),
+            None => kernels::Panels::direct(&other.data, n),
+        };
+        let a = &self.data;
+        // Every band streams all of the tall B, and output rows cost the
+        // same, so one band per thread (no oversplit) reads B least often.
+        for_each_row_chunk(&mut out.data, n, &row_chunks(m, threads), |s, e, band| {
+            kernels::gemm_tn(band, &a[s..], m, panels, e - s, k, n);
+        });
+        if let Some(bp) = packed {
+            crate::arena::release(bp);
+        }
+        out
     }
 
     /// Transposed-right product `self · otherᵀ` (`m×k · (n×k)ᵀ → m×n`).

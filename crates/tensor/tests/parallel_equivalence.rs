@@ -12,10 +12,16 @@
 //! and `sum_sq` are bitwise identical; the FMA kernels (GEMM, SpMM) agree
 //! only within float tolerance — see DESIGN.md § SIMD kernel dispatch.
 //!
+//! The AᵀB, k == 1 outer-product and n == 1 matrix–vector GEMM kernels are
+//! held to a stricter contract: bitwise equal, on each ISA, to the kernels
+//! they replaced (`transpose().matmul()`, the dot-product kernel and the
+//! one-chain-per-row narrow kernel).
+//!
 //! The container running CI may expose a single CPU, so each test pins the
 //! pool to 4 workers up front; `force_sequential` then toggles the baseline
 //! path without disturbing the cached thread count.
 
+use std::process::Command;
 use std::sync::Mutex;
 
 use proptest::prelude::*;
@@ -48,6 +54,11 @@ impl Drop for SimdGuard {
 /// Run `f` once on the sequential path and once on the pooled path.
 fn seq_then_par<T>(f: impl Fn() -> T) -> (T, T) {
     let _lock = SEQ_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    seq_then_par_unlocked(f)
+}
+
+/// [`seq_then_par`] for callers already holding [`SEQ_LOCK`].
+fn seq_then_par_unlocked<T>(f: impl Fn() -> T) -> (T, T) {
     let _ = threading::set_num_threads(4);
     let _guard = SeqGuard;
     threading::force_sequential(true);
@@ -369,4 +380,166 @@ proptest! {
         assert_exact(&s.1, &d.1);
         assert_exact(&s.2, &d.2);
     }
+}
+
+// ---------------------------------------------------------------------------
+// GEMM flavours against the kernels they replaced: bitwise, on both ISAs and
+// at 1, 2 and 4 threads.
+// ---------------------------------------------------------------------------
+
+/// Output widths: a matrix–vector product, a narrow (`n < 8`) product, the
+/// narrowest tiled width (one ragged 16-wide panel), a full panel plus a
+/// ragged one, and four full panels read in place.
+const WIDTHS: [usize; 5] = [1, 3, 8, 17, 64];
+
+/// Multiply-adds (`m·k·n`) at which a GEMM engages the worker pool.
+const GEMM_POOL_FLOPS: usize = 8_000_000;
+
+/// The previous `n == 1` kernel: one k-sequential multiply-then-add chain
+/// per output row.
+fn matvec_chain(a: &Matrix, x: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), 1, |i, _| {
+        let mut acc = 0.0f32;
+        for (kk, &v) in a.row(i).iter().enumerate() {
+            acc += v * x.as_slice()[kk];
+        }
+        acc
+    })
+}
+
+/// The previous `k == 1` `matmul_nt`: the dot kernels' zero lane tree plus
+/// a one-term tail, `0 + (0 + a·b)`.
+fn outer_dot(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+        0.0 + (0.0 + a.as_slice()[i] * b.as_slice()[j])
+    })
+}
+
+fn fnv1a(mut h: u64, m: &Matrix) -> u64 {
+    for v in m.as_slice() {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Check `matmul_tn`, the `n == 1` `matmul` and the `k == 1` `matmul_nt`
+/// at one shape against their reference kernels (bitwise, under whatever
+/// ISA and thread state the caller set) and fold every output into `h`.
+fn check_flavours(m: usize, k: usize, n: usize, seed: u64, h: u64) -> u64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = random_matrix(k, m, &mut rng);
+    let b = random_matrix(k, n, &mut rng);
+    let tn = a.matmul_tn(&b);
+    assert_exact(&tn, &a.transpose().matmul(&b));
+    let mut h = fnv1a(h, &tn);
+    if n == 1 {
+        let rows = a.transpose();
+        let nn = rows.matmul(&b);
+        assert_exact(&nn, &matvec_chain(&rows, &b));
+        h = fnv1a(h, &nn);
+    }
+    let (x, y) = (random_matrix(m, 1, &mut rng), random_matrix(n, 1, &mut rng));
+    let nt = x.matmul_nt(&y);
+    assert_exact(&nt, &outer_dot(&x, &y));
+    fnv1a(h, &nt)
+}
+
+/// Rows for an `m × k · k × n` product: `m % 4 != 0` (a remainder tile
+/// past the last 4-row tile), large enough to engage the pool when `pool`
+/// and `n ≥ 3`. The `n == 1` products stay below the pool threshold: that
+/// would take a 32 MB operand, and each output row is one independent
+/// chain whichever band it falls in.
+fn rows_for(m_small: usize, k: usize, n: usize, pool: bool) -> usize {
+    if pool && n >= 3 {
+        GEMM_POOL_FLOPS.div_ceil(k * n) | 1
+    } else {
+        m_small
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `k > KC` (512), so the k-blocked AVX2 tiles continue through `out`.
+    #[test]
+    fn gemm_flavours_match_reference_kernels(
+        seed in 0u64..1000,
+        wi in 0usize..WIDTHS.len(),
+        q in 0usize..20,
+        odd in 1usize..4,
+        k in 513usize..700,
+        pool in any::<bool>(),
+    ) {
+        let n = WIDTHS[wi];
+        let m = rows_for(4 * q + odd, k, n, pool);
+        let (s, p) = scalar_then_simd(|| seq_then_par_unlocked(|| check_flavours(m, k, n, seed, 0)));
+        // Within one ISA the digest may not depend on the thread count.
+        prop_assert_eq!(s.0, s.1);
+        prop_assert_eq!(p.0, p.1);
+    }
+}
+
+/// Set in the child processes of [`gemm_flavours_agree_at_1_2_4_threads`].
+const SWEEP_CHILD: &str = "VGOD_GEMM_SWEEP_CHILD";
+
+/// The pool's thread count is process-global and fixed once resolved, so
+/// each of 1, 2 and 4 threads runs [`gemm_flavour_sweep_child`] in a child
+/// process of this test binary with `VGOD_NUM_THREADS` set. Each child
+/// asserts the reference equalities itself and prints a digest of every
+/// output; the three digests must agree.
+#[test]
+fn gemm_flavours_agree_at_1_2_4_threads() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut digests = Vec::new();
+    for threads in [1, 2, 4] {
+        let out = Command::new(&exe)
+            .args(["gemm_flavour_sweep_child", "--exact", "--nocapture"])
+            .env(SWEEP_CHILD, "1")
+            .env("VGOD_NUM_THREADS", threads.to_string())
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{threads}-thread sweep failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let digest = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("flavour-digest="))
+            .unwrap_or_else(|| panic!("{threads}-thread sweep printed no digest:\n{stdout}"));
+        digests.push((threads, digest.to_string()));
+    }
+    assert!(
+        digests.iter().all(|(_, d)| *d == digests[0].1),
+        "GEMM outputs depend on the thread count: {digests:?}"
+    );
+}
+
+/// The body of [`gemm_flavours_agree_at_1_2_4_threads`]; a no-op unless
+/// run as its child.
+#[test]
+fn gemm_flavour_sweep_child() {
+    let Ok(threads) = std::env::var(SWEEP_CHILD).and(std::env::var("VGOD_NUM_THREADS")) else {
+        return;
+    };
+    assert_eq!(threading::num_threads().to_string(), threads);
+    let _guard = SimdGuard;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for scalar in [true, false] {
+        simd::force_scalar(scalar);
+        for (wi, &n) in WIDTHS.iter().enumerate() {
+            for (si, (m_small, k, pool)) in [(13, 37, false), (70, 600, false), (71, 600, true)]
+                .into_iter()
+                .enumerate()
+            {
+                let m = rows_for(m_small, k, n, pool);
+                h = check_flavours(m, k, n, (wi * 3 + si) as u64, h);
+            }
+        }
+    }
+    println!("flavour-digest={h:016x}");
 }
