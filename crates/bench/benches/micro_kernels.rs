@@ -256,6 +256,9 @@ fn bench_simd_ab(c: &mut Criterion) {
     let x128 = Matrix::from_fn(N, 2 * D, |r, cc| ((r * 3 + cc * 5) % 17) as f32 * 0.1 - 0.8);
     let g1 = Matrix::from_fn(N, 1, |r, _| (r % 23) as f32 * 0.05 - 0.5);
     let a1 = Matrix::from_fn(D, 1, |r, _| (r % 7) as f32 * 0.2 - 0.6);
+    // A wide-output AᵀB: the `Gᵀ·A` of a `matmul_nt` backward whose output
+    // width is an attribute count (AnomalyDAE's structure decoder).
+    let x500 = Matrix::from_fn(N, 500, |r, cc| ((r * 11 + cc * 3) % 19) as f32 * 0.1 - 0.9);
 
     threading::force_sequential(true);
     let mut results = Vec::new();
@@ -275,6 +278,13 @@ fn bench_simd_ab(c: &mut Criterion) {
         "matmul_tn_10000x64",
         || std::hint::black_box(h.matmul_tn(&h2)),
         || h.transpose().matmul(&h2),
+    ));
+    // Wide output: n×500ᵀ · n×64 (a 500×64 output, past L1).
+    results.push(backward_ab(
+        c,
+        "matmul_tn_10000x500x64",
+        || std::hint::black_box(x500.matmul_tn(&h2)),
+        || x500.transpose().matmul(&h2),
     ));
     // GAT attention-vector gradient: n×64ᵀ · n×1.
     results.push(backward_ab(

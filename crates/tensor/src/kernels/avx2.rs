@@ -26,7 +26,8 @@ use std::arch::x86_64::*;
 /// k-block size of the AᵀB driver. Its operands are tall (`k` is the node
 /// count) while the output is small (`m, n` are feature widths), so a k-block
 /// sweeps the whole output tile set: short blocks keep that set, the A
-/// rows and the B panel rows of one block L1-resident together.
+/// rows and the B panel rows of one block L1-resident together. Sized for
+/// outputs that fit in L1/L2; a wider one is re-read from L2 per block.
 const KC_TN: usize = 32;
 
 /// Collapse one 8-lane register with the fixed pairwise tree mirrored by
@@ -299,28 +300,6 @@ pub(crate) unsafe fn gemm_tn_narrow(
                 acc += a[kk * lda + r] * b.data[kk * b.ldb + j];
             }
             out[r * n + j] = acc;
-        }
-    }
-}
-
-/// Outer product `out[i, j] = 0 + (0 + a[i] · b[j])`, bitwise equal to
-/// [`scalar::outer`] (single-rounded mul and adds, no FMA).
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn outer(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
-    let zero = _mm256_setzero_ps();
-    let chunks = n / 8;
-    for (i, &ai) in a.iter().enumerate() {
-        let row = out.as_mut_ptr().add(i * n);
-        let av = _mm256_set1_ps(ai);
-        for c in 0..chunks {
-            let prod = _mm256_mul_ps(av, _mm256_loadu_ps(b.as_ptr().add(c * 8)));
-            _mm256_storeu_ps(
-                row.add(c * 8),
-                _mm256_add_ps(zero, _mm256_add_ps(zero, prod)),
-            );
-        }
-        for (j, &bj) in b.iter().enumerate().skip(chunks * 8) {
-            *row.add(j) = 0.0 + (0.0 + ai * bj);
         }
     }
 }

@@ -194,8 +194,9 @@ pub(crate) fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize,
     if k == 1 {
         // An outer product: both dot kernels reduce a one-element row to
         // `0 + (0 + a·b)` (zero lane tree plus a one-term tail), which the
-        // outer-product kernels compute directly.
-        return dispatch!(scalar::outer(out, a, b, n), avx2::outer(out, a, b, n));
+        // outer-product loop computes directly on both ISAs (it
+        // autovectorises; a hand-written AVX2 copy measured no faster).
+        return scalar::outer(out, a, b, n);
     }
     dispatch!(
         scalar::gemm_nt(out, a, b, m, k, n),

@@ -15,7 +15,7 @@
 //! - Elementwise kernels and [`fused_adam`] are single correctly-rounded
 //!   IEEE ops per element and therefore also bitwise identical across ISAs.
 
-use super::{AdamStep, Panels, NR};
+use super::{AdamStep, Panels, NARROW, NR};
 
 /// `out[i, j0..j0+nr] = Σ_k a[i, k] · panel[k, j]` for one packed B panel.
 ///
@@ -46,54 +46,64 @@ pub(crate) fn gemm_nn(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize
 /// GEMM for narrow outputs (`n < 8`, a single partially-filled panel):
 /// identical accumulation order to [`gemm_nn`] but without the padded
 /// lanes. Both ISA paths dispatch here — a 16-wide tile would spend most of
-/// its lanes on padding.
+/// its lanes on padding. Eight rows advance together, so `8·n` independent
+/// k-sequential chains are in flight; the width is a const parameter so
+/// every accumulator stays in a register.
 pub(crate) fn gemm_narrow(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert!(n < NR);
-    if n == 1 {
-        return gemv(out, a, bp, m, k);
+    debug_assert!(n < NARROW);
+    if k == 0 {
+        out[..m * n].fill(0.0);
+        return;
     }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let mut tile = [0.0f32; NR];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            for (t, &bv) in tile[..n].iter_mut().zip(&bp[kk * NR..kk * NR + n]) {
-                *t += aik * bv;
-            }
-        }
-        out_row.copy_from_slice(&tile[..n]);
+    match n {
+        0 => {}
+        1 => narrow::<1>(out, a, bp, m, k),
+        2 => narrow::<2>(out, a, bp, m, k),
+        3 => narrow::<3>(out, a, bp, m, k),
+        4 => narrow::<4>(out, a, bp, m, k),
+        5 => narrow::<5>(out, a, bp, m, k),
+        6 => narrow::<6>(out, a, bp, m, k),
+        7 => narrow::<7>(out, a, bp, m, k),
+        _ => unreachable!("gemm_narrow: n = {n} is not narrow"),
     }
 }
 
-/// The `n == 1` case of [`gemm_narrow`] (a matrix–vector product): one
-/// k-sequential multiply-then-add chain per row, with eight rows advancing
-/// together so eight independent chains are in flight.
-fn gemv(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize) {
+/// [`gemm_narrow`] at width `N`: blocks of eight rows, then one row at a
+/// time for the remainder.
+fn narrow<const N: usize>(out: &mut [f32], a: &[f32], bp: &[f32], m: usize, k: usize) {
     const ROWS: usize = 8;
-    if k == 0 {
-        out[..m].fill(0.0);
-        return;
-    }
     let full = m / ROWS * ROWS;
-    for (o, block) in out[..full]
-        .chunks_exact_mut(ROWS)
+    let (out_full, out_tail) = out[..m * N].split_at_mut(full * N);
+    for (o, block) in out_full
+        .chunks_exact_mut(ROWS * N)
         .zip(a.chunks_exact(ROWS * k))
     {
-        let rows: [&[f32]; ROWS] = std::array::from_fn(|r| &block[r * k..(r + 1) * k]);
-        let mut acc = [0.0f32; ROWS];
-        for (kk, b_row) in bp.chunks_exact(NR).take(k).enumerate() {
-            for (t, row) in acc.iter_mut().zip(&rows) {
-                *t += row[kk] * b_row[0];
+        narrow_rows::<N, ROWS>(o, block, bp, k);
+    }
+    for (o, row) in out_tail
+        .chunks_exact_mut(N)
+        .zip(a[full * k..].chunks_exact(k))
+    {
+        narrow_rows::<N, 1>(o, row, bp, k);
+    }
+}
+
+/// `R` consecutive output rows of [`gemm_narrow`]: every element
+/// accumulates k-sequentially, multiply then add.
+#[inline(always)]
+fn narrow_rows<const N: usize, const R: usize>(out: &mut [f32], a: &[f32], bp: &[f32], k: usize) {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[0.0f32; N]; R];
+    for (kk, b_row) in bp.chunks_exact(NR).take(k).enumerate() {
+        for (t, row) in acc.iter_mut().zip(&rows) {
+            let aik = row[kk];
+            for (x, &bv) in t.iter_mut().zip(&b_row[..N]) {
+                *x += aik * bv;
             }
         }
-        o.copy_from_slice(&acc);
     }
-    for (o, row) in out[full..m].iter_mut().zip(a[full * k..].chunks_exact(k)) {
-        let mut acc = 0.0f32;
-        for (&aik, b_row) in row.iter().zip(bp.chunks_exact(NR)) {
-            acc += aik * b_row[0];
-        }
-        *o = acc;
+    for (o, t) in out.chunks_exact_mut(N).zip(&acc) {
+        o.copy_from_slice(t);
     }
 }
 

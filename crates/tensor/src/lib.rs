@@ -42,6 +42,10 @@ pub mod threading {
     pub use crate::pool::{
         force_sequential, num_threads, run_indexed, set_num_threads, ThreadCountAlreadySet,
     };
+
+    /// Exported so tests can size products that are sure to engage the pool.
+    #[doc(hidden)]
+    pub use crate::parallel::GEMM_FLOP_THRESHOLD;
 }
 
 /// Error type for fallible tensor constructors.

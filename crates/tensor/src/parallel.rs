@@ -20,7 +20,7 @@ use crate::pool::{num_threads, run_chunks};
 /// vectorised GEMM retires multiply-adds several times faster than the old
 /// scalar loop, so the pool's dispatch overhead only amortises at a
 /// correspondingly larger problem.
-pub(crate) const GEMM_FLOP_THRESHOLD: usize = 8_000_000;
+pub const GEMM_FLOP_THRESHOLD: usize = 8_000_000;
 
 /// Minimum work units (`nnz * dense_cols`) before a sparse × dense product
 /// engages the pool. Lower than the GEMM threshold: each SpMM work unit

@@ -12,10 +12,10 @@
 //! and `sum_sq` are bitwise identical; the FMA kernels (GEMM, SpMM) agree
 //! only within float tolerance — see DESIGN.md § SIMD kernel dispatch.
 //!
-//! The AᵀB, k == 1 outer-product and n == 1 matrix–vector GEMM kernels are
-//! held to a stricter contract: bitwise equal, on each ISA, to the kernels
-//! they replaced (`transpose().matmul()`, the dot-product kernel and the
-//! one-chain-per-row narrow kernel).
+//! The AᵀB, k == 1 outer-product and narrow (n < 8) GEMM kernels are held
+//! to a stricter contract: bitwise equal, on each ISA, to the kernels they
+//! replaced (`transpose().matmul()`, the dot-product kernel and the
+//! one-row-at-a-time narrow kernel).
 //!
 //! The container running CI may expose a single CPU, so each test pins the
 //! pool to 4 workers up front; `force_sequential` then toggles the baseline
@@ -392,16 +392,13 @@ proptest! {
 /// ragged one, and four full panels read in place.
 const WIDTHS: [usize; 5] = [1, 3, 8, 17, 64];
 
-/// Multiply-adds (`m·k·n`) at which a GEMM engages the worker pool.
-const GEMM_POOL_FLOPS: usize = 8_000_000;
-
-/// The previous `n == 1` kernel: one k-sequential multiply-then-add chain
-/// per output row.
-fn matvec_chain(a: &Matrix, x: &Matrix) -> Matrix {
-    Matrix::from_fn(a.rows(), 1, |i, _| {
+/// The previous narrow (`n < 8`) kernel: one k-sequential
+/// multiply-then-add chain per output element.
+fn narrow_chain(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
         let mut acc = 0.0f32;
         for (kk, &v) in a.row(i).iter().enumerate() {
-            acc += v * x.as_slice()[kk];
+            acc += v * b.row(kk)[j];
         }
         acc
     })
@@ -425,7 +422,7 @@ fn fnv1a(mut h: u64, m: &Matrix) -> u64 {
     h
 }
 
-/// Check `matmul_tn`, the `n == 1` `matmul` and the `k == 1` `matmul_nt`
+/// Check `matmul_tn`, the narrow `matmul` and the `k == 1` `matmul_nt`
 /// at one shape against their reference kernels (bitwise, under whatever
 /// ISA and thread state the caller set) and fold every output into `h`.
 fn check_flavours(m: usize, k: usize, n: usize, seed: u64, h: u64) -> u64 {
@@ -435,10 +432,10 @@ fn check_flavours(m: usize, k: usize, n: usize, seed: u64, h: u64) -> u64 {
     let tn = a.matmul_tn(&b);
     assert_exact(&tn, &a.transpose().matmul(&b));
     let mut h = fnv1a(h, &tn);
-    if n == 1 {
+    if n < 8 {
         let rows = a.transpose();
         let nn = rows.matmul(&b);
-        assert_exact(&nn, &matvec_chain(&rows, &b));
+        assert_exact(&nn, &narrow_chain(&rows, &b));
         h = fnv1a(h, &nn);
     }
     let (x, y) = (random_matrix(m, 1, &mut rng), random_matrix(n, 1, &mut rng));
@@ -454,7 +451,7 @@ fn check_flavours(m: usize, k: usize, n: usize, seed: u64, h: u64) -> u64 {
 /// chain whichever band it falls in.
 fn rows_for(m_small: usize, k: usize, n: usize, pool: bool) -> usize {
     if pool && n >= 3 {
-        GEMM_POOL_FLOPS.div_ceil(k * n) | 1
+        threading::GEMM_FLOP_THRESHOLD.div_ceil(k * n) | 1
     } else {
         m_small
     }
