@@ -42,4 +42,7 @@ pub mod persist;
 mod tape;
 
 pub use param::{Param, ParamId, ParamStore};
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{
+    edge_aggregate_forward, leaky_relu_forward, relu_forward, segment_softmax_forward, Gradients,
+    Tape, Var,
+};

@@ -354,13 +354,13 @@ impl Var {
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        self.unary(|a| a.map(|v| v.max(0.0)), Op::Relu)
+        self.unary(relu_forward, Op::Relu)
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&self, slope: f32) -> Var {
         self.unary(
-            |a| a.map(|v| if v > 0.0 { v } else { slope * v }),
+            |a| leaky_relu_forward(a, slope),
             |x| Op::LeakyRelu(x, slope),
         )
     }
@@ -838,7 +838,23 @@ fn backpropagate(nodes: &[Node], i: usize, g: &Matrix, grads: &mut [Option<Matri
     }
 }
 
-fn segment_softmax_forward(logits: &Matrix, seg: &[u32]) -> Matrix {
+/// Rectified linear unit on a plain matrix — the forward value of
+/// [`Var::relu`].
+pub fn relu_forward(x: &Matrix) -> Matrix {
+    x.map(|v| v.max(0.0))
+}
+
+/// Leaky ReLU on a plain matrix — the forward value of [`Var::leaky_relu`].
+pub fn leaky_relu_forward(x: &Matrix, slope: f32) -> Matrix {
+    x.map(|v| if v > 0.0 { v } else { slope * v })
+}
+
+/// Softmax of an `m × 1` score vector within segments — the forward value
+/// of [`Var::segment_softmax`]. Each segment's exponentials are summed in
+/// element order, so a segment's result depends only on its own elements
+/// and their relative order, never on which other segments share the
+/// vector (the property incremental GAT inference relies on).
+pub fn segment_softmax_forward(logits: &Matrix, seg: &[u32]) -> Matrix {
     assert_eq!(
         logits.cols(),
         1,
@@ -869,7 +885,11 @@ fn segment_softmax_forward(logits: &Matrix, seg: &[u32]) -> Matrix {
     out
 }
 
-fn edge_aggregate_forward(
+/// Weighted scatter-add over edges — the forward value of
+/// [`Var::edge_aggregate`]: `out[dst[e], :] += alpha[e] * h[src[e], :]`,
+/// visiting edges in order, so each output row accumulates its in-edges in
+/// their relative edge order.
+pub fn edge_aggregate_forward(
     alpha: &Matrix,
     h: &Matrix,
     src: &[u32],

@@ -1,19 +1,25 @@
-//! Streaming update latency: delta frontier rescoring vs a from-scratch
-//! full rescore, plus the served end-to-end path.
+//! Streaming update latency: delta rescoring vs a from-scratch full
+//! rescore, plus the served end-to-end path.
 //!
-//! Two measurements on one ~100k-node graph:
+//! Two measurements:
 //!
-//! 1. **Library A/B** — per local detector, apply single-edge updates to
-//!    the overlay and time (a) the delta path (`apply_mutation_rescore`:
-//!    k-hop frontier, induced-closure rescore, cache patch) against
-//!    (b) what a non-delta server would do (materialise the mutated graph
-//!    and run a full `score`). Every update asserts the patched cache is
-//!    **bit-identical** to the full rescore — the delta path is an
-//!    execution strategy, never an approximation.
-//! 2. **End-to-end** — start `serve_streaming` on the same graph and
-//!    checkpoints, POST single-edge `/graph/update` batches over HTTP,
-//!    and record client-observed wall latency (connect + parse + apply +
-//!    delta rescore for every model + snapshot publish + reply).
+//! 1. **Library A/B** — per local detector, apply updates to the overlay
+//!    and time (a) the delta path (`apply_mutation_rescore`: the
+//!    layer-wise rescore from cached activations for VBM and VGOD, the
+//!    k-hop closure rescore for the baselines, then the cache patch)
+//!    against (b) what a non-delta server would do (materialise the
+//!    mutated graph and run a full `score`). Every update asserts the
+//!    patched cache is **bit-identical** to the full rescore on every
+//!    channel — the delta path is an execution strategy, never an
+//!    approximation. The baselines and VBM take single-edge updates on a
+//!    ~100k-node random graph; VGOD (GAT ARM) takes 4-op mixed batches on
+//!    the same graph and on the medium PubMed replica. Each row records
+//!    the cached layer-state bytes and the median dirty-set size
+//!    `|B_ℓ(touched)|` of each layer.
+//! 2. **End-to-end** — start `serve_streaming` on the 100k graph and the
+//!    baseline/VBM checkpoints, POST single-edge `/graph/update` batches
+//!    over HTTP, and record client-observed wall latency (connect + parse
+//!    + apply + delta rescore for every model + snapshot publish + reply).
 //!
 //! Results go to `BENCH_stream.json` at the repository root. CI's
 //! stream-smoke job gates delta speedup ≥ 5x and end-to-end median
@@ -27,11 +33,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rand::Rng;
-use vgod::{Vbm, VbmConfig};
+use vgod::{Vbm, VbmConfig, Vgod, VgodConfig};
 use vgod_baselines::{Deg, DegNorm};
-use vgod_eval::{apply_mutation_rescore, DeltaCapability, OutlierDetector, ScoreCache};
+use vgod_datasets::{replica, Dataset, Scale};
+use vgod_eval::{apply_mutation_rescore, DeltaCapability, OutlierDetector, ScoreCache, Scores};
 use vgod_graph::{
-    save_graph, seeded_rng, AttributedGraph, FrozenGraph, GraphMutation, GraphStore, OverlayGraph,
+    k_hop_ball, save_graph, seeded_rng, AttributedGraph, FrozenGraph, GraphMutation, GraphStore,
+    OverlayGraph,
 };
 use vgod_serve::{http, AnyDetector, StreamConfig};
 use vgod_tensor::Matrix;
@@ -63,6 +71,9 @@ fn median(sorted_us: &mut [u64]) -> u64 {
 
 struct DeltaRun {
     detector: &'static str,
+    graph: &'static str,
+    nodes: usize,
+    ops_per_update: usize,
     fit_ms: f64,
     initial_score_ms: f64,
     hops: usize,
@@ -70,44 +81,98 @@ struct DeltaRun {
     full_us_median: u64,
     speedup: f64,
     frontier_median: usize,
+    state_bytes: usize,
+    layer_rows_median: Vec<usize>,
 }
 
-/// Single-edge update A/B for one detector: delta patch vs full rescore,
-/// asserting bit-identity on every update.
+/// One update: a single edge insert, or `ops` mixed mutations in the
+/// proportions of `vgod stream-gen` (mostly edge churn).
+fn random_batch(n: u32, d: usize, ops: usize, rng: &mut impl Rng) -> Vec<GraphMutation> {
+    let edge = |rng: &mut dyn rand::RngCore| {
+        let u = rng.gen_range(0..n);
+        (u, (u + rng.gen_range(1..n)) % n)
+    };
+    if ops == 1 {
+        let (u, v) = edge(rng);
+        return vec![GraphMutation::AddEdge { u, v }];
+    }
+    (0..ops)
+        .map(|_| match rng.gen_range(0..9) {
+            0..=3 => {
+                let (u, v) = edge(rng);
+                GraphMutation::AddEdge { u, v }
+            }
+            4 | 5 => {
+                let (u, v) = edge(rng);
+                GraphMutation::RemoveEdge { u, v }
+            }
+            6 => GraphMutation::SetAttrs {
+                node: rng.gen_range(0..n),
+                attrs: (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+            },
+            7 => GraphMutation::AddNode {
+                attrs: (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+                label: None,
+            },
+            _ => GraphMutation::RemoveNode {
+                node: rng.gen_range(0..n),
+            },
+        })
+        .collect()
+}
+
+fn channel_bits(s: &Scores) -> [Option<Vec<u32>>; 3] {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    [
+        Some(bits(&s.combined)),
+        s.structural.as_deref().map(bits),
+        s.contextual.as_deref().map(bits),
+    ]
+}
+
+/// Update A/B for one detector: delta patch vs full rescore, asserting
+/// bit-identity on every update. `layers` is the depth of the detector's
+/// layer-wise path (0 without one): the dirty sets `B_0..B_layers` of
+/// each update are recorded.
+#[allow(clippy::too_many_arguments)]
 fn delta_ab(
     detector: &'static str,
+    graph: &'static str,
     det: &AnyDetector,
     fit_ms: f64,
     g: &AttributedGraph,
     updates: usize,
+    ops_per_update: usize,
+    layers: usize,
 ) -> DeltaRun {
-    let DeltaCapability::Local { hops, merge } = det.delta_capability() else {
+    let DeltaCapability::Local { hops, .. } = det.delta_capability() else {
         panic!("{detector}: bench expects a local delta capability");
     };
+    // The startup pass of a streaming server: scores plus layer state.
     let t0 = Instant::now();
-    let full = det.score(g);
+    let mut cache = ScoreCache::for_detector(det, g);
     let initial_score_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut cache = ScoreCache::new(full, merge);
 
     let mut overlay = OverlayGraph::new(Arc::new(FrozenGraph::from_store(g)));
-    let n = GraphStore::num_nodes(&overlay) as u32;
     let mut rng = seeded_rng(0xBEEF ^ detector.len() as u64);
     let mut delta_us = Vec::with_capacity(updates);
     let mut full_us = Vec::with_capacity(updates);
     let mut frontiers = Vec::with_capacity(updates);
+    let mut layer_rows: Vec<Vec<usize>> = vec![Vec::new(); if layers > 0 { layers + 1 } else { 0 }];
     for _ in 0..updates {
-        let u = rng.gen_range(0..n);
-        let v = (u + rng.gen_range(1..n)) % n;
-        let effect = overlay
-            .apply_batch(&[GraphMutation::AddEdge { u, v }])
-            .expect("apply update");
+        let n = GraphStore::num_nodes(&overlay) as u32;
+        let ops = random_batch(n, g.num_attrs(), ops_per_update, &mut rng);
+        let effect = overlay.apply_batch(&ops).expect("apply update");
         if effect.applied == 0 {
-            continue; // the random edge already existed
+            continue; // every op was a no-op (existing edge, absent edge)
         }
         let t0 = Instant::now();
         let frontier = apply_mutation_rescore(det, &overlay, &effect.touched, &mut cache);
         delta_us.push(t0.elapsed().as_micros() as u64);
         frontiers.push(frontier);
+        for (depth, rows) in layer_rows.iter_mut().enumerate() {
+            rows.push(k_hop_ball(&overlay, &effect.touched, depth).len());
+        }
 
         // The non-delta baseline: materialise the mutated graph and run a
         // full scoring pass, exactly like a FullRescore-capability model.
@@ -116,32 +181,51 @@ fn delta_ab(
         full_us.push(t0.elapsed().as_micros() as u64);
 
         assert_eq!(
-            cache
-                .combined()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect::<Vec<_>>(),
-            reference
-                .combined
-                .iter()
-                .map(|s| s.to_bits())
-                .collect::<Vec<_>>(),
-            "{detector}: delta-patched cache must equal the full rescore"
+            channel_bits(cache.scores()),
+            channel_bits(&reference),
+            "{detector} on {graph}: delta-patched cache must equal the full rescore"
         );
     }
     frontiers.sort_unstable();
     let delta_med = median(&mut delta_us);
     let full_med = median(&mut full_us);
+    let mid = |v: &mut Vec<usize>| {
+        v.sort_unstable();
+        v.get(v.len() / 2).copied().unwrap_or(0)
+    };
     DeltaRun {
         detector,
+        graph,
+        nodes: g.num_nodes(),
+        ops_per_update,
         fit_ms,
         initial_score_ms,
         hops,
         delta_us_median: delta_med,
         full_us_median: full_med,
         speedup: full_med as f64 / (delta_med as f64).max(1.0),
-        frontier_median: frontiers.get(frontiers.len() / 2).copied().unwrap_or(0),
+        frontier_median: mid(&mut frontiers),
+        state_bytes: cache.state_bytes(),
+        layer_rows_median: layer_rows.iter_mut().map(mid).collect(),
     }
+}
+
+/// Fit a VGOD model with a GAT ARM (the paper's default backbone).
+fn fit_vgod(
+    g: &AttributedGraph,
+    hidden: usize,
+    vbm_epochs: usize,
+    arm_epochs: usize,
+) -> (AnyDetector, f64) {
+    let mut cfg = VgodConfig::default();
+    cfg.vbm.hidden_dim = hidden;
+    cfg.vbm.epochs = vbm_epochs;
+    cfg.arm.hidden_dim = hidden;
+    cfg.arm.epochs = arm_epochs;
+    let t0 = Instant::now();
+    let mut vgod = Vgod::new(cfg);
+    vgod.fit(g);
+    (AnyDetector::Vgod(vgod), t0.elapsed().as_secs_f64() * 1e3)
 }
 
 fn main() {
@@ -181,12 +265,60 @@ fn main() {
 
     let mut runs = Vec::new();
     for (name, det, fit_ms) in &dets {
-        let run = delta_ab(name, det, *fit_ms, &g, updates);
+        let layers = usize::from(*name == "vbm");
+        runs.push(delta_ab(
+            name,
+            "random-100k",
+            det,
+            *fit_ms,
+            &g,
+            updates,
+            1,
+            layers,
+        ));
+    }
+    // VGOD with a GAT ARM on 4-op batches: at 100k nodes (hidden 16, two
+    // epochs each) and on the medium PubMed replica at CLI defaults
+    // (hidden 64) with the stream workload's 5-epoch checkpoint.
+    let (vgod, fit_ms) = fit_vgod(&g, 16, 2, 2);
+    runs.push(delta_ab(
+        "vgod-gat",
+        "random-100k",
+        &vgod,
+        fit_ms,
+        &g,
+        updates,
+        4,
+        VgodConfig::default().arm.layers,
+    ));
+    drop(vgod);
+    let pubmed = replica(Dataset::PubmedLike, Scale::Medium, &mut seeded_rng(1)).graph;
+    let (vgod, fit_ms) = fit_vgod(&pubmed, 64, 10, 5);
+    runs.push(delta_ab(
+        "vgod-gat",
+        "pubmed-medium",
+        &vgod,
+        fit_ms,
+        &pubmed,
+        updates,
+        4,
+        VgodConfig::default().arm.layers,
+    ));
+    drop(vgod);
+    for run in &runs {
         eprintln!(
-            "{name}: delta {} us vs full {} us median = {:.1}x (frontier median {}, {} hop(s))",
-            run.delta_us_median, run.full_us_median, run.speedup, run.frontier_median, run.hops
+            "{} on {}: delta {} us vs full {} us median = {:.1}x \
+             (frontier median {}, layer rows {:?}, state {} B, {} hop(s))",
+            run.detector,
+            run.graph,
+            run.delta_us_median,
+            run.full_us_median,
+            run.speedup,
+            run.frontier_median,
+            run.layer_rows_median,
+            run.state_bytes,
+            run.hops
         );
-        runs.push(run);
     }
 
     // End-to-end: serve the same checkpoints in streaming mode and POST
@@ -237,19 +369,27 @@ fn main() {
          (~{throughput:.0} update/s at median)"
     );
 
+    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"streaming\",\n");
+    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     out.push_str(&format!("  \"nodes\": {},\n", g.num_nodes()));
     out.push_str(&format!("  \"edges\": {},\n", g.num_edges()));
     out.push_str(&format!("  \"updates\": {updates},\n"));
     out.push_str("  \"detectors\": [\n");
     for (i, r) in runs.iter().enumerate() {
+        let layers: Vec<String> = r.layer_rows_median.iter().map(|v| v.to_string()).collect();
         out.push_str(&format!(
-            "    {{\"detector\": \"{}\", \"fit_ms\": {:.1}, \"initial_score_ms\": {:.1}, \
+            "    {{\"detector\": \"{}\", \"graph\": \"{}\", \"nodes\": {}, \
+             \"ops_per_update\": {}, \"fit_ms\": {:.1}, \"initial_score_ms\": {:.1}, \
              \"hops\": {}, \"delta_us_median\": {}, \"full_us_median\": {}, \
-             \"speedup\": {:.2}, \"frontier_median\": {}}}{}\n",
+             \"speedup\": {:.2}, \"frontier_median\": {}, \"state_bytes\": {}, \
+             \"layer_rows_median\": [{}]}}{}\n",
             r.detector,
+            r.graph,
+            r.nodes,
+            r.ops_per_update,
             r.fit_ms,
             r.initial_score_ms,
             r.hops,
@@ -257,6 +397,8 @@ fn main() {
             r.full_us_median,
             r.speedup,
             r.frontier_median,
+            r.state_bytes,
+            layers.join(", "),
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }

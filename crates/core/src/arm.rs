@@ -1,8 +1,9 @@
 //! The Attribute Reconstruction Model (§V-B).
 
-use vgod_autograd::{ParamStore, Tape, Var};
-use vgod_gnn::{GnnLayer, GraphContext};
-use vgod_graph::{seeded_rng, AttributedGraph};
+use vgod_autograd::{relu_forward, ParamStore, Tape, Var};
+use vgod_gnn::rows::prefers_whole_graph;
+use vgod_gnn::{GnnLayer, GraphContext, LayerCache};
+use vgod_graph::{k_hop_ball, seeded_rng, AttributedGraph, GraphStore};
 use vgod_nn::{row_reconstruction_errors, Linear, Trainer};
 use vgod_tensor::Matrix;
 
@@ -37,6 +38,28 @@ impl ArmState {
     }
 }
 
+/// What ARM's GNN layers gather, kept full-length for incremental
+/// rescoring: one [`LayerCache`] per GNN layer.
+#[derive(Clone, Debug)]
+pub(crate) struct ArmLayers {
+    layers: Vec<LayerCache>,
+}
+
+impl ArmLayers {
+    /// Heap bytes of the cached matrices.
+    pub(crate) fn bytes(&self) -> usize {
+        self.layers.iter().map(LayerCache::bytes).sum()
+    }
+}
+
+/// The outcome of one incremental ARM rescore.
+pub(crate) struct ArmDelta {
+    /// The rescored nodes (sorted): the last layer's dirty set.
+    pub(crate) rows: Vec<u32>,
+    /// Their contextual scores.
+    pub(crate) scores: Vec<f32>,
+}
+
 impl Arm {
     /// An untrained model.
     pub fn new(cfg: ArmConfig) -> Self {
@@ -54,10 +77,16 @@ impl Arm {
     }
 
     fn preprocess(&self, g: &AttributedGraph) -> Matrix {
+        self.preprocess_rows(g.attrs().clone())
+    }
+
+    /// Preprocess attribute rows (row-local, so any subset of a graph's
+    /// rows preprocesses to exactly those rows).
+    fn preprocess_rows(&self, x: Matrix) -> Matrix {
         if self.cfg.row_normalize {
-            g.attrs().l2_normalize_rows(1e-6).0
+            x.l2_normalize_rows(1e-6).0
         } else {
-            g.attrs().clone()
+            x
         }
     }
 
@@ -104,7 +133,7 @@ impl Arm {
             &mut store,
             |tape, _, store| {
                 let xv = tape.constant(x.clone());
-                let xhat = forward_parts(&input, &gnns, &output, store, tape, &xv, &ctx);
+                let xhat = forward_parts(&input, &gnns, &output, store, tape, &xv, &ctx, None);
                 xhat.sub(&xv).square().mean_all()
             },
             |epoch, loss, _| callback(epoch, loss),
@@ -199,19 +228,98 @@ impl Arm {
     /// Panics if the model is untrained or the attribute dimension differs
     /// from the training graph's.
     pub fn scores(&self, g: &AttributedGraph) -> Vec<f32> {
+        self.scores_capturing(g, None)
+    }
+
+    fn fitted_state(&self, attrs: usize) -> &ArmState {
         let state = self.state.as_ref().expect("Arm::scores called before fit");
         assert_eq!(
-            g.num_attrs(),
-            state.in_dim,
+            attrs, state.in_dim,
             "attribute dimension mismatch: model was trained on {}-dimensional attributes",
             state.in_dim
         );
+        state
+    }
+
+    fn scores_capturing(
+        &self,
+        g: &AttributedGraph,
+        capture: Option<&mut Vec<LayerCache>>,
+    ) -> Vec<f32> {
+        let state = self.fitted_state(g.num_attrs());
         let ctx = GraphContext::of(g);
         let x = self.preprocess(g);
         let tape = Tape::new();
         let xv = tape.constant(x.clone());
-        let xhat = forward(state, &tape, &xv, &ctx).value();
+        let xhat = forward_parts(
+            &state.input,
+            &state.gnns,
+            &state.output,
+            &state.store,
+            &tape,
+            &xv,
+            &ctx,
+            capture,
+        )
+        .value();
         row_reconstruction_errors(&xhat, &x)
+    }
+
+    /// [`Arm::scores`] plus the layer state of the same pass.
+    pub(crate) fn scores_with_layers(&self, g: &AttributedGraph) -> (Vec<f32>, ArmLayers) {
+        let mut layers = Vec::new();
+        let scores = self.scores_capturing(g, Some(&mut layers));
+        (scores, ArmLayers { layers })
+    }
+
+    /// Incremental rescore after a batch touching `touched` (sorted) was
+    /// applied to `store`. Stage 0 re-embeds the touched rows; GNN layer
+    /// `ℓ` writes its changed input rows into its cache and recomputes
+    /// `dirty_ℓ = B_1(dirty_{ℓ−1})` — `dirty_{ℓ−1}` already holds the
+    /// touched set, whose degree changes reach exactly one hop — or, for a
+    /// backbone past the row-path crossover, every row through the
+    /// whole-graph kernels.
+    /// The output layer and the reconstruction error then run on the last
+    /// dirty set, so `B_L(touched)` rows come back.
+    pub(crate) fn rescore_layers(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        layers: &mut ArmLayers,
+    ) -> ArmDelta {
+        let state = self.fitted_state(store.num_attrs());
+        let n = store.num_nodes();
+        let params = &state.store;
+        let x = self.preprocess_rows(store.gather_attrs(touched));
+        let mut h = linear_rows(&state.input, params, x.clone(), true);
+        let mut rows = touched.to_vec();
+        let mut whole: Option<GraphContext> = None;
+        for (i, (gnn, cache)) in state.gnns.iter().zip(&mut layers.layers).enumerate() {
+            gnn.update_cache(params, cache, &rows, &h, n);
+            if rows.len() < n {
+                rows = k_hop_ball(store, &rows, 1);
+            }
+            h = if prefers_whole_graph(gnn.kind(), rows.len(), n) {
+                rows = (0..n as u32).collect();
+                let ctx = whole.get_or_insert_with(|| GraphContext::from_store(store));
+                gnn.forward_whole(params, ctx, cache)
+            } else {
+                gnn.forward_rows(params, store, cache, &rows)
+            };
+            if i + 1 < state.gnns.len() {
+                h = relu_forward(&h);
+            }
+        }
+        let xhat = linear_rows(&state.output, params, h, false);
+        let target = if rows.len() == touched.len() {
+            x
+        } else {
+            self.preprocess_rows(store.gather_attrs(&rows))
+        };
+        ArmDelta {
+            scores: row_reconstruction_errors(&xhat, &target),
+            rows,
+        }
     }
 
     /// The reconstructed attribute matrix `X̂`.
@@ -236,9 +344,22 @@ fn forward(state: &ArmState, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
         tape,
         x,
         ctx,
+        None,
     )
 }
 
+/// A [`Linear`] layer over a few rows (optionally L2-normalised, as the
+/// input transformation is): row-local, so bitwise those rows of the
+/// whole-graph layer.
+fn linear_rows(linear: &Linear, store: &ParamStore, x: Matrix, normalize: bool) -> Matrix {
+    let tape = Tape::new();
+    let y = linear.forward(&tape, store, &tape.constant(x));
+    if normalize { y.l2_normalize_rows() } else { y }.value()
+}
+
+/// The ARM forward pass; with `capture`, also pushes each GNN layer's
+/// [`LayerCache`] from the values the pass computes.
+#[allow(clippy::too_many_arguments)]
 fn forward_parts(
     input: &Linear,
     gnns: &[GnnLayer],
@@ -247,12 +368,20 @@ fn forward_parts(
     tape: &Tape,
     x: &Var,
     ctx: &GraphContext,
+    mut capture: Option<&mut Vec<LayerCache>>,
 ) -> Var {
     // Feature transformation (Eq. 14).
     let mut z = input.forward(tape, store, x).l2_normalize_rows();
     // GNN layers (Eq. 15), ReLU between but not after the stack.
     for (i, gnn) in gnns.iter().enumerate() {
-        z = gnn.forward(tape, store, &z, ctx);
+        z = match capture.as_deref_mut() {
+            Some(caches) => {
+                let (out, cache) = gnn.forward_cached(tape, store, &z, ctx);
+                caches.push(cache);
+                out
+            }
+            None => gnn.forward(tape, store, &z, ctx),
+        };
         if i + 1 < gnns.len() {
             z = z.relu();
         }

@@ -1,12 +1,78 @@
 //! The VGOD framework (§V-C, Algorithm 1).
 
-use vgod_eval::{
-    combine_mean_std, combine_sum_to_unit, full_graph_view, DeltaCapability, OutlierDetector,
-    RangeScores, ScoreMerge, Scores,
-};
-use vgod_graph::{AttributedGraph, GraphStore, NeighborSampler, SamplingConfig};
+use std::any::Any;
+use std::borrow::Cow;
 
+use vgod_eval::{
+    combine_mean_std, combine_sum_to_unit, full_graph_view, DeltaCapability, LayerState,
+    LayeredDelta, OutlierDetector, RangeScores, ScoreMerge, Scores,
+};
+use vgod_graph::{k_hop_ball, AttributedGraph, GraphStore, NeighborSampler, SamplingConfig};
+
+use crate::arm::ArmLayers;
+use crate::vbm::VbmLayers;
 use crate::{Arm, CombineStrategy, MiniBatchConfig, Vbm, VgodConfig};
+
+/// VGOD's layer state: both components'.
+struct VgodLayers {
+    vbm: VbmLayers,
+    arm: ArmLayers,
+}
+
+/// The layer-wise rescore shared by VBM, ARM and VGOD: run `step` on the
+/// cached layer state `S`, or — when the cache holds none — build it with
+/// one full pass of `det` over the materialised store and return every
+/// row.
+fn rescore_with<S: Any + Send>(
+    det: &dyn OutlierDetector,
+    store: &dyn GraphStore,
+    state: &mut Option<LayerState>,
+    bytes: fn(&S) -> usize,
+    step: impl FnOnce(&mut S) -> (Vec<u32>, Scores),
+) -> LayeredDelta {
+    if let Some(layers) = state.as_mut().and_then(|s| s.downcast_mut::<S>()) {
+        let (rows, scores) = step(layers);
+        return LayeredDelta {
+            rows,
+            scores,
+            state_bytes: bytes(layers),
+        };
+    }
+    let g = store.materialize();
+    let (scores, fresh) = det.score_with_state(&g);
+    *state = fresh;
+    let n = g.num_nodes();
+    LayeredDelta {
+        rows: (0..n as u32).collect(),
+        scores,
+        state_bytes: state
+            .as_ref()
+            .and_then(|s| s.downcast_ref::<S>())
+            .map_or(0, bytes),
+    }
+}
+
+fn vbm_scores(s: Vec<f32>) -> Scores {
+    Scores {
+        combined: s.clone(),
+        structural: Some(s),
+        contextual: None,
+    }
+}
+
+fn arm_scores(s: Vec<f32>) -> Scores {
+    Scores {
+        combined: s.clone(),
+        structural: None,
+        contextual: Some(s),
+    }
+}
+
+impl VgodLayers {
+    fn bytes(&self) -> usize {
+        self.vbm.bytes() + self.arm.bytes()
+    }
+}
 
 /// The mini-batch schedule implied by a sampling config (store-backed
 /// training reuses the §V-D mini-batch machinery with the sampler's batch
@@ -110,6 +176,25 @@ impl Vgod {
         Ok(Vgod { cfg, vbm, arm })
     }
 
+    /// The configured combine strategy as a global merge rule over
+    /// full-length channels.
+    fn merge_rule(&self) -> ScoreMerge {
+        match self.cfg.combine {
+            CombineStrategy::MeanStd => ScoreMerge::MeanStd,
+            CombineStrategy::SumToUnit => ScoreMerge::SumToUnit,
+            CombineStrategy::Weighted(alpha) => ScoreMerge::Weighted(alpha),
+        }
+    }
+
+    /// Both channels plus their combination.
+    fn components(&self, structural: Vec<f32>, contextual: Vec<f32>) -> Scores {
+        Scores {
+            combined: self.combine(&structural, &contextual),
+            structural: Some(structural),
+            contextual: Some(contextual),
+        }
+    }
+
     /// Combine structural and contextual scores per the configured strategy.
     pub fn combine(&self, structural: &[f32], contextual: &[f32]) -> Vec<f32> {
         match self.cfg.combine {
@@ -136,14 +221,7 @@ impl OutlierDetector for Vgod {
     }
 
     fn score(&self, g: &AttributedGraph) -> Scores {
-        let structural = self.vbm.scores(g);
-        let contextual = self.arm.scores(g);
-        let combined = self.combine(&structural, &contextual);
-        Scores {
-            combined,
-            structural: Some(structural),
-            contextual: Some(contextual),
-        }
+        self.components(self.vbm.scores(g), self.arm.scores(g))
     }
 
     fn fit_store(&mut self, store: &dyn GraphStore, cfg: &SamplingConfig) {
@@ -160,12 +238,7 @@ impl OutlierDetector for Vgod {
         // batch statistics and distort the ranking.
         let structural = self.vbm.score_store(store, cfg).combined;
         let contextual = self.arm.score_store(store, cfg).combined;
-        let combined = self.combine(&structural, &contextual);
-        Scores {
-            combined,
-            structural: Some(structural),
-            contextual: Some(contextual),
-        }
+        self.components(structural, contextual)
     }
 
     fn score_store_range(
@@ -197,19 +270,9 @@ impl OutlierDetector for Vgod {
             .score_store_range(store, cfg, lo, hi)
             .scores
             .combined;
-        let combined = self.combine(&structural, &contextual);
-        let merge = match self.cfg.combine {
-            CombineStrategy::MeanStd => ScoreMerge::MeanStd,
-            CombineStrategy::SumToUnit => ScoreMerge::SumToUnit,
-            CombineStrategy::Weighted(alpha) => ScoreMerge::Weighted(alpha),
-        };
         RangeScores {
-            scores: Scores {
-                combined,
-                structural: Some(structural),
-                contextual: Some(contextual),
-            },
-            merge,
+            scores: self.components(structural, contextual),
+            merge: self.merge_rule(),
         }
     }
 
@@ -222,12 +285,51 @@ impl OutlierDetector for Vgod {
             DeltaCapability::Local { hops, .. } => hops.max(1),
             _ => unreachable!("ARM is always local"),
         };
-        let merge = match self.cfg.combine {
-            CombineStrategy::MeanStd => ScoreMerge::MeanStd,
-            CombineStrategy::SumToUnit => ScoreMerge::SumToUnit,
-            CombineStrategy::Weighted(alpha) => ScoreMerge::Weighted(alpha),
-        };
-        DeltaCapability::Local { hops, merge }
+        DeltaCapability::Local {
+            hops,
+            merge: self.merge_rule(),
+        }
+    }
+
+    fn score_with_state(&self, g: &AttributedGraph) -> (Scores, Option<LayerState>) {
+        let (structural, vbm) = self.vbm.scores_with_layers(g);
+        let (contextual, arm) = self.arm.scores_with_layers(g);
+        let layers = VgodLayers { vbm, arm };
+        (
+            self.components(structural, contextual),
+            Some(Box::new(layers)),
+        )
+    }
+
+    fn rescore_layered(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        Some(rescore_with(
+            self,
+            store,
+            state,
+            VgodLayers::bytes,
+            |layers| {
+                // Both channels are patched on ARM's last dirty set, which
+                // covers VBM's `B_1(touched)` from the first GNN layer on.
+                // Without GNN layers ARM is row-local: seed it with VBM's
+                // rows instead (re-embedding a row rewrites equal bytes).
+                let seeds = if self.arm.config().layers == 0 {
+                    Cow::Owned(k_hop_ball(store, touched, 1))
+                } else {
+                    Cow::Borrowed(touched)
+                };
+                let arm = self.arm.rescore_layers(store, &seeds, &mut layers.arm);
+                let structural = self
+                    .vbm
+                    .rescore_rows(store, touched, &mut layers.vbm, &arm.rows);
+                let scores = self.components(structural, arm.scores);
+                (arm.rows, scores)
+            },
+        ))
     }
 }
 
@@ -241,12 +343,7 @@ impl OutlierDetector for Vbm {
     }
 
     fn score(&self, g: &AttributedGraph) -> Scores {
-        let s = self.scores(g);
-        Scores {
-            combined: s.clone(),
-            structural: Some(s),
-            contextual: None,
-        }
+        vbm_scores(self.scores(g))
     }
 
     fn fit_store(&mut self, store: &dyn GraphStore, cfg: &SamplingConfig) {
@@ -270,6 +367,30 @@ impl OutlierDetector for Vbm {
             merge: ScoreMerge::Concat,
         }
     }
+
+    fn score_with_state(&self, g: &AttributedGraph) -> (Scores, Option<LayerState>) {
+        let (s, layers) = self.scores_with_layers(g);
+        (vbm_scores(s), Some(Box::new(layers)))
+    }
+
+    fn rescore_layered(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        Some(rescore_with(
+            self,
+            store,
+            state,
+            VbmLayers::bytes,
+            |layers| {
+                let rows = k_hop_ball(store, touched, 1);
+                let s = self.rescore_rows(store, touched, layers, &rows);
+                (rows, vbm_scores(s))
+            },
+        ))
+    }
 }
 
 impl OutlierDetector for Arm {
@@ -282,12 +403,7 @@ impl OutlierDetector for Arm {
     }
 
     fn score(&self, g: &AttributedGraph) -> Scores {
-        let s = self.scores(g);
-        Scores {
-            combined: s.clone(),
-            structural: None,
-            contextual: Some(s),
-        }
+        arm_scores(self.scores(g))
     }
 
     fn fit_store(&mut self, store: &dyn GraphStore, cfg: &SamplingConfig) {
@@ -308,6 +424,29 @@ impl OutlierDetector for Arm {
             hops: self.config().layers + 1,
             merge: ScoreMerge::Concat,
         }
+    }
+
+    fn score_with_state(&self, g: &AttributedGraph) -> (Scores, Option<LayerState>) {
+        let (s, layers) = self.scores_with_layers(g);
+        (arm_scores(s), Some(Box::new(layers)))
+    }
+
+    fn rescore_layered(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        Some(rescore_with(
+            self,
+            store,
+            state,
+            ArmLayers::bytes,
+            |layers| {
+                let delta = self.rescore_layers(store, touched, layers);
+                (delta.rows, arm_scores(delta.scores))
+            },
+        ))
     }
 }
 

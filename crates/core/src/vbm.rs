@@ -1,8 +1,9 @@
 //! The Variance-Based Model (§V-A).
 
 use vgod_autograd::{ParamStore, Tape};
-use vgod_gnn::{neighbor_variance_matrix, neighbor_variance_scores, GraphContext};
-use vgod_graph::{seeded_rng, AttributedGraph};
+use vgod_gnn::rows::{adjacency_rows, put_rows, AdjacencyKind};
+use vgod_gnn::{neighbor_variance_scores, neighbor_variance_with_squares, GraphContext};
+use vgod_graph::{seeded_rng, AttributedGraph, GraphStore};
 use vgod_nn::{Linear, Trainer};
 use vgod_tensor::Matrix;
 
@@ -39,6 +40,21 @@ struct VbmState {
     store: ParamStore,
     linear: Linear,
     in_dim: usize,
+}
+
+/// What VBM's variance gather reads, kept full-length for incremental
+/// rescoring: the embeddings `H` and their squares `H ∘ H`.
+#[derive(Clone, Debug)]
+pub(crate) struct VbmLayers {
+    h: Matrix,
+    h_sq: Matrix,
+}
+
+impl VbmLayers {
+    /// Heap bytes of the cached matrices.
+    pub(crate) fn bytes(&self) -> usize {
+        (self.h.len() + self.h_sq.len()) * std::mem::size_of::<f32>()
+    }
 }
 
 impl Vbm {
@@ -102,7 +118,7 @@ impl Vbm {
             cb(&VbmEpochSnapshot {
                 epoch: 0,
                 loss: f32::NAN,
-                scores: scores_for(&linear, &store, g, self_loops),
+                scores: scores_for(&linear, &store, g, self_loops).0,
             });
         }
 
@@ -121,7 +137,7 @@ impl Vbm {
                     cb(&VbmEpochSnapshot {
                         epoch,
                         loss,
-                        scores: scores_for(&linear, store, g, self_loops),
+                        scores: scores_for(&linear, store, g, self_loops).0,
                     });
                 }
             },
@@ -141,14 +157,7 @@ impl Vbm {
     /// Panics if the model is untrained or `g`'s attribute dimension
     /// differs from the training graph's.
     pub fn scores(&self, g: &AttributedGraph) -> Vec<f32> {
-        let state = self.state.as_ref().expect("Vbm::scores called before fit");
-        assert_eq!(
-            g.num_attrs(),
-            state.in_dim,
-            "attribute dimension mismatch: model was trained on {}-dimensional attributes",
-            state.in_dim
-        );
-        scores_with(state, g, self.cfg.self_loops)
+        self.scores_with_layers(g).0
     }
 
     /// Install trained state (used by the mini-batch trainer, which owns
@@ -222,6 +231,52 @@ impl Vbm {
             .expect("Vbm::embeddings called before fit");
         embed(state, g)
     }
+
+    fn fitted_state(&self, attrs: usize) -> &VbmState {
+        let state = self.state.as_ref().expect("Vbm::scores called before fit");
+        assert_eq!(
+            attrs, state.in_dim,
+            "attribute dimension mismatch: model was trained on {}-dimensional attributes",
+            state.in_dim
+        );
+        state
+    }
+
+    /// [`Vbm::scores`] plus the layer state of the same pass.
+    pub(crate) fn scores_with_layers(&self, g: &AttributedGraph) -> (Vec<f32>, VbmLayers) {
+        let state = self.fitted_state(g.num_attrs());
+        scores_for(&state.linear, &state.store, g, self.cfg.self_loops)
+    }
+
+    /// Incremental rescore after a batch touching `touched` (sorted) was
+    /// applied to `store`: re-embed the touched rows into `layers`, then
+    /// return the structural scores of `rows` (sorted, a superset of
+    /// `B_1(touched)`) through row-subset views, which beat the
+    /// whole-graph kernels even over every row
+    /// ([`vgod_gnn::rows::ROW_PATH_MAX_FRACTION`]).
+    pub(crate) fn rescore_rows(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        layers: &mut VbmLayers,
+        rows: &[u32],
+    ) -> Vec<f32> {
+        let state = self.fitted_state(store.num_attrs());
+        let n = store.num_nodes();
+        // The embedding is row-local: re-embed just the touched rows.
+        let h = embed_matrix(&state.linear, &state.store, store.gather_attrs(touched));
+        let h_sq = h.mul(&h);
+        put_rows(&mut layers.h, touched, &h, n);
+        put_rows(&mut layers.h_sq, touched, &h_sq, n);
+        let kind = if self.cfg.self_loops {
+            AdjacencyKind::MeanSelfLoops
+        } else {
+            AdjacencyKind::Mean
+        };
+        let adj = adjacency_rows(store, rows, kind);
+        let var = neighbor_variance_with_squares(&layers.h, &layers.h_sq, &adj);
+        var.row_sums().into_vec()
+    }
 }
 
 fn embed(state: &VbmState, g: &AttributedGraph) -> Matrix {
@@ -229,28 +284,31 @@ fn embed(state: &VbmState, g: &AttributedGraph) -> Matrix {
 }
 
 fn embed_with(linear: &Linear, store: &ParamStore, g: &AttributedGraph) -> Matrix {
+    embed_matrix(linear, store, g.attrs().clone())
+}
+
+fn embed_matrix(linear: &Linear, store: &ParamStore, x: Matrix) -> Matrix {
     let tape = Tape::new();
-    let xv = tape.constant(g.attrs().clone());
+    let xv = tape.constant(x);
     linear
         .forward(&tape, store, &xv)
         .l2_normalize_rows()
         .value()
 }
 
-fn scores_with(state: &VbmState, g: &AttributedGraph, self_loops: bool) -> Vec<f32> {
-    scores_for(&state.linear, &state.store, g, self_loops)
-}
-
+/// Structural scores of every node of `g`, plus the layer state (the
+/// embeddings and their squares) they were computed from.
 fn scores_for(
     linear: &Linear,
     store: &ParamStore,
     g: &AttributedGraph,
     self_loops: bool,
-) -> Vec<f32> {
+) -> (Vec<f32>, VbmLayers) {
     let h = embed_with(linear, store, g);
+    let h_sq = h.mul(&h);
     let ctx = GraphContext::of(g);
-    let var = neighbor_variance_matrix(&h, ctx.mean_adjacency(self_loops));
-    var.row_sums().into_vec()
+    let var = neighbor_variance_with_squares(&h, &h_sq, ctx.mean_adjacency(self_loops));
+    (var.row_sums().into_vec(), VbmLayers { h, h_sq })
 }
 
 #[cfg(test)]

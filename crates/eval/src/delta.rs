@@ -3,34 +3,38 @@
 //!
 //! For a detector declaring [`DeltaCapability::Local`]`{ hops, merge }`,
 //! a mutation batch touching nodes `T` can only move the raw score
-//! channels of the frontier `B_hops(T)` (every touched endpoint, former
-//! neighbour of a removed edge, and node within `hops` of one). The delta
-//! path:
+//! channels of the ball `B_hops(T)`. Two execution strategies bring a
+//! [`ScoreCache`] up to date, both byte-identical to a full rescore:
 //!
-//! 1. frontier = `B_hops(T)` on the post-mutation graph
-//!    ([`dirty_frontier`]);
-//! 2. closure = `B_hops(frontier)` — the exact induced subgraph on the
-//!    closure reproduces every frontier node's receptive field *and* the
-//!    degrees its kernels normalise by;
-//! 3. run the detector's ordinary `score` on the closure subgraph and
-//!    keep the frontier rows ([`rescore_frontier`]);
-//! 4. overwrite those rows in the cached full-length channels and re-apply
-//!    the global merge rule ([`ScoreCache::patch`]).
+//! * **Layer-wise** ([`OutlierDetector::rescore_layered`], VBM, ARM and
+//!   VGOD): the cache owns the detector's per-layer activations. Layer `ℓ`
+//!   recomputes only `dirty_ℓ = B_1(dirty_{ℓ−1} ∪ T)` (`dirty_0 = T`),
+//!   reading unchanged neighbour rows from the cached layer input, so a
+//!   batch costs its `B_L(T)` rows rather than the graph.
+//! * **Closure** (every other Local detector): frontier = `B_hops(T)`
+//!   ([`dirty_frontier`]); closure = `B_hops(frontier)`, whose exact
+//!   induced subgraph reproduces every frontier node's receptive field and
+//!   the degrees its kernels normalise by; the detector's ordinary `score`
+//!   runs on the closure and the frontier rows are kept
+//!   ([`rescore_frontier`]).
+//!
+//! Either way the rescored rows overwrite the cached full-length channels
+//! and the global merge rule is re-applied ([`ScoreCache::patch`]).
 //!
 //! Byte-identity with a from-scratch full rescore rests on two invariants
-//! proven elsewhere in the workspace: the closure subgraph relabels nodes
-//! in sorted-id order, so per-row neighbour aggregation preserves the full
-//! graph's accumulation order ([`vgod_graph::induced_store_subgraph`]);
-//! and every tensor kernel fixes its per-row accumulation order regardless
-//! of row count (the determinism contract in `vgod-tensor`). Non-`Concat`
-//! merges reuse the same combine kernels the sharded scoring coordinator
-//! runs over concatenated channels — the precedent for "patch raw
-//! channels, recombine globally" being exact.
+//! proven elsewhere in the workspace: per-row neighbour aggregation visits
+//! a row's neighbours in the full graph's order (sorted-id relabelling for
+//! closures, `vgod_gnn::rows` for layer-wise views), and every tensor
+//! kernel fixes its per-row accumulation order regardless of row count
+//! (the determinism contract in `vgod-tensor`). Non-`Concat` merges run
+//! [`ScoreMerge::apply`] — the combine the sharded scoring coordinator
+//! runs over concatenated channels — on the patched full-length channels.
 
 use vgod_graph::{induced_store_subgraph, k_hop_ball, GraphStore};
 
-use crate::detector::{DeltaCapability, OutlierDetector, ScoreMerge, Scores};
-use crate::{combine_mean_std, combine_sum_to_unit};
+use vgod_graph::AttributedGraph;
+
+use crate::detector::{DeltaCapability, LayerState, OutlierDetector, ScoreMerge, Scores};
 
 /// The dirty frontier of a mutation batch: every node whose raw score
 /// channels can have changed, i.e. the ball `B_hops(touched)` on the
@@ -81,24 +85,63 @@ fn sub_scores(det: &dyn OutlierDetector, sub: &vgod_graph::AttributedGraph) -> S
 }
 
 /// A model's served scores: full-length raw channels plus the merge rule
-/// that combines them. The streaming engine keeps one per loaded model,
-/// patches the frontier rows after each mutation batch, and publishes the
-/// recombined `combined` vector.
-#[derive(Clone, Debug)]
+/// that combines them, and — for detectors with a layer-wise incremental
+/// path — the per-layer activations that path updates. The streaming
+/// engine keeps one per loaded model, patches the dirty rows after each
+/// mutation batch, and publishes the recombined `combined` vector.
 pub struct ScoreCache {
     channels: Scores,
     merge: ScoreMerge,
+    state: Option<LayerState>,
+    state_bytes: usize,
+}
+
+impl std::fmt::Debug for ScoreCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScoreCache")
+            .field("channels", &self.channels)
+            .field("merge", &self.merge)
+            .field("has_state", &self.state.is_some())
+            .field("state_bytes", &self.state_bytes)
+            .finish()
+    }
 }
 
 impl ScoreCache {
     /// Cache a full scoring pass. For a [`DeltaCapability::Local`]
     /// detector pass its declared merge rule; for full-rescore models pass
     /// [`ScoreMerge::Concat`] (the combined vector is replaced wholesale).
+    /// The cache holds no layer state: a detector with a layer-wise path
+    /// builds it with one full pass on the first mutation batch.
     pub fn new(full: Scores, merge: ScoreMerge) -> ScoreCache {
         ScoreCache {
             channels: full,
             merge,
+            state: None,
+            state_bytes: 0,
         }
+    }
+
+    /// Score `g` with `det` and cache the result under the detector's
+    /// merge rule, together with the layer state the same pass yields
+    /// ([`OutlierDetector::score_with_state`]), so the first mutation batch
+    /// already runs incrementally.
+    pub fn for_detector(det: &dyn OutlierDetector, g: &AttributedGraph) -> ScoreCache {
+        let merge = match det.delta_capability() {
+            DeltaCapability::Local { merge, .. } => merge,
+            _ => ScoreMerge::Concat,
+        };
+        let (full, state) = det.score_with_state(g);
+        ScoreCache {
+            state,
+            ..ScoreCache::new(full, merge)
+        }
+    }
+
+    /// Heap bytes of the cached layer state, as of the last layer-wise
+    /// rescore (0 before one ran, and for detectors without the path).
+    pub fn state_bytes(&self) -> usize {
+        self.state_bytes
     }
 
     /// The served (combined) scores.
@@ -143,60 +186,20 @@ impl ScoreCache {
     /// (as returned by [`rescore_frontier`]).
     ///
     /// # Panics
-    /// Panics if a frontier id is out of range, or a non-`Concat` merge is
-    /// missing a channel on either side.
+    /// Panics if a frontier id is out of range, `delta` lacks a channel the
+    /// cache holds, or a non-`Concat` merge is missing a channel.
     pub fn patch(&mut self, frontier: &[u32], delta: &Scores) {
-        match self.merge {
-            ScoreMerge::Concat => {
-                // The combined score is itself local: patch it directly,
-                // and keep any present channels in sync.
-                for (i, &u) in frontier.iter().enumerate() {
-                    self.channels.combined[u as usize] = delta.combined[i];
-                }
-                patch_channel(&mut self.channels.structural, &delta.structural, frontier);
-                patch_channel(&mut self.channels.contextual, &delta.contextual, frontier);
-            }
-            merge => {
-                let structural = self
-                    .channels
-                    .structural
-                    .as_mut()
-                    .expect("merge rule needs a structural channel");
-                let from = delta
-                    .structural
-                    .as_ref()
-                    .expect("delta is missing the structural channel");
-                for (i, &u) in frontier.iter().enumerate() {
-                    structural[u as usize] = from[i];
-                }
-                let contextual = self
-                    .channels
-                    .contextual
-                    .as_mut()
-                    .expect("merge rule needs a contextual channel");
-                let from = delta
-                    .contextual
-                    .as_ref()
-                    .expect("delta is missing the contextual channel");
-                for (i, &u) in frontier.iter().enumerate() {
-                    contextual[u as usize] = from[i];
-                }
-                // Recombine globally with the same kernels a full pass
-                // uses — byte-identical to scoring from scratch.
-                let structural = self.channels.structural.as_deref().unwrap();
-                let contextual = self.channels.contextual.as_deref().unwrap();
-                self.channels.combined = match merge {
-                    ScoreMerge::Concat => unreachable!(),
-                    ScoreMerge::MeanStd => combine_mean_std(structural, contextual),
-                    ScoreMerge::SumToUnit => combine_sum_to_unit(structural, contextual),
-                    ScoreMerge::Weighted(alpha) => structural
-                        .iter()
-                        .zip(contextual)
-                        .map(|(&s, &c)| alpha * s + (1.0 - alpha) * c)
-                        .collect(),
-                };
+        if self.merge == ScoreMerge::Concat {
+            // The combined score is itself local: patch it directly.
+            for (i, &u) in frontier.iter().enumerate() {
+                self.channels.combined[u as usize] = delta.combined[i];
             }
         }
+        patch_channel(&mut self.channels.structural, &delta.structural, frontier);
+        patch_channel(&mut self.channels.contextual, &delta.contextual, frontier);
+        // Recombine globally with the same kernels a full pass uses —
+        // byte-identical to scoring from scratch (a no-op for Concat).
+        self.channels = self.merge.apply(std::mem::take(&mut self.channels));
     }
 
     /// Replace the cache wholesale (the full-rescore path).
@@ -206,18 +209,24 @@ impl ScoreCache {
 }
 
 fn patch_channel(channel: &mut Option<Vec<f32>>, delta: &Option<Vec<f32>>, frontier: &[u32]) {
-    if let (Some(channel), Some(delta)) = (channel, delta) {
-        for (i, &u) in frontier.iter().enumerate() {
-            channel[u as usize] = delta[i];
+    match (channel, delta) {
+        (Some(channel), Some(delta)) => {
+            for (i, &u) in frontier.iter().enumerate() {
+                channel[u as usize] = delta[i];
+            }
         }
+        (Some(_), None) => panic!("delta is missing a cached channel"),
+        (None, _) => {}
     }
 }
 
 /// One delta-rescoring step for any capability: given the post-mutation
 /// store, the touched set, and the model's cache, bring the cache up to
-/// date. Returns the frontier size (0 for full/refit passes, which
-/// invalidate everything). This is the `crates/eval` entry point the
-/// streaming engine calls per applied batch.
+/// date. Returns the number of rescored rows (0 for full/refit passes,
+/// which invalidate everything). Local detectors with a layer-wise path
+/// ([`OutlierDetector::rescore_layered`]) update their cached activations;
+/// the rest rescore the closure of their frontier. This is the one delta
+/// entry point the streaming engine calls per applied batch.
 pub fn apply_mutation_rescore(
     det: &dyn OutlierDetector,
     store: &dyn GraphStore,
@@ -227,10 +236,22 @@ pub fn apply_mutation_rescore(
     match det.delta_capability() {
         DeltaCapability::Local { hops, .. } => {
             cache.grow(store.num_nodes());
-            let frontier = dirty_frontier(store, touched, hops);
-            let delta = rescore_frontier(det, store, &frontier, hops);
-            cache.patch(&frontier, &delta);
-            frontier.len()
+            if touched.is_empty() {
+                return 0; // a local score moves only near a touched node
+            }
+            let (rows, delta) = match det.rescore_layered(store, touched, &mut cache.state) {
+                Some(layered) => {
+                    cache.state_bytes = layered.state_bytes;
+                    (layered.rows, layered.scores)
+                }
+                None => {
+                    let frontier = dirty_frontier(store, touched, hops);
+                    let delta = rescore_frontier(det, store, &frontier, hops);
+                    (frontier, delta)
+                }
+            };
+            cache.patch(&rows, &delta);
+            rows.len()
         }
         DeltaCapability::FullRescore | DeltaCapability::Refit => {
             // Refit is the caller's responsibility (needs `&mut` detector);

@@ -1,5 +1,6 @@
 //! The common interface every outlier detector implements.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -203,6 +204,23 @@ pub enum DeltaCapability {
     /// Transductive detector — scoring is refitting (Radar, AnomalyDAE);
     /// a mutation requires a full refit + rescore.
     Refit,
+}
+
+/// A detector's cached per-layer activations for layer-wise incremental
+/// rescoring ([`OutlierDetector::rescore_layered`]). Opaque to everyone
+/// but the detector that built it; a [`crate::ScoreCache`] owns it.
+pub type LayerState = Box<dyn Any + Send>;
+
+/// What one layer-wise incremental rescore recomputed.
+#[derive(Clone, Debug)]
+pub struct LayeredDelta {
+    /// The rescored nodes, sorted.
+    pub rows: Vec<u32>,
+    /// Their raw channels, aligned with `rows`. `combined` is final only
+    /// under [`ScoreMerge::Concat`]; other merges recombine globally.
+    pub scores: Scores,
+    /// Heap bytes the layer state holds after the rescore.
+    pub state_bytes: usize,
 }
 
 /// Raw score channels for one contiguous node range, plus the rule a
@@ -654,6 +672,32 @@ pub trait OutlierDetector: Send + Sync {
     /// *is* refitting declare [`DeltaCapability::Refit`].
     fn delta_capability(&self) -> DeltaCapability {
         DeltaCapability::FullRescore
+    }
+
+    /// [`OutlierDetector::score`], plus the layer state that
+    /// [`OutlierDetector::rescore_layered`] updates, taken from the
+    /// matrices this same pass computes. The default has no layer state.
+    fn score_with_state(&self, g: &AttributedGraph) -> (Scores, Option<LayerState>) {
+        (self.score(g), None)
+    }
+
+    /// Layer-wise incremental rescoring for a
+    /// [`DeltaCapability::Local`] detector: after a batch touching
+    /// `touched` (sorted) has been applied to `store`, recompute only the
+    /// rows each layer can change, from the cached activations in `state`,
+    /// and return the rows whose channels moved. The result patches a
+    /// cache to exactly a full rescore's bytes. A `None` state is built
+    /// with one full pass, which returns every row.
+    ///
+    /// The default returns `None`: the detector has no layer-wise path and
+    /// the closure rescore ([`crate::rescore_frontier`]) runs instead.
+    fn rescore_layered(
+        &self,
+        _store: &dyn GraphStore,
+        _touched: &[u32],
+        _state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        None
     }
 }
 

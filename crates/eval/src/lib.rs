@@ -27,7 +27,7 @@ pub use delta::{apply_mutation_rescore, dirty_frontier, rescore_frontier, ScoreC
 pub use detector::{
     assemble_batch_scores, full_graph_view, merge_range_scores, range_score_batches,
     refit_score_store, refit_score_store_range, score_sampled_batch_range, score_sampled_batches,
-    DeltaCapability, OutlierDetector, RangeScores, ScoreMerge, Scores,
+    DeltaCapability, LayerState, LayeredDelta, OutlierDetector, RangeScores, ScoreMerge, Scores,
 };
 pub use metrics::{auc, auc_gap, auc_group_vs_normal, auc_subset};
 pub use normalize::{

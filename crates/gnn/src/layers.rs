@@ -1,10 +1,17 @@
 //! Parametric message-passing layers.
 
+use std::borrow::Cow;
+
 use rand::Rng;
-use vgod_autograd::{ParamId, ParamStore, Tape, Var};
+use vgod_autograd::{
+    edge_aggregate_forward, leaky_relu_forward, segment_softmax_forward, ParamId, ParamStore, Tape,
+    Var,
+};
+use vgod_graph::GraphStore;
 use vgod_nn::{glorot_uniform, Activation, Linear, Mlp};
 use vgod_tensor::Matrix;
 
+use crate::rows::{adjacency_rows, put_rows, AdjacencyKind, AttentionEdges};
 use crate::GraphContext;
 
 /// The GNN layer families the paper's ARM can use as backbone (§V-B,
@@ -68,6 +75,16 @@ impl GatHead {
         Self { w, a_src, a_dst }
     }
 
+    /// `W·h` and its two attention halves, on a tape.
+    fn project(&self, tape: &Tape, store: &ParamStore, x: &Var) -> (Var, Var, Var) {
+        let wh = self.w.forward(tape, store, x);
+        let a_src = tape.param(store, self.a_src);
+        let a_dst = tape.param(store, self.a_dst);
+        let s_src = wh.matmul(&a_src); // n×1 contribution of each node as source
+        let s_dst = wh.matmul(&a_dst); // n×1 contribution as destination
+        (wh, s_src, s_dst)
+    }
+
     fn forward(
         &self,
         tape: &Tape,
@@ -75,12 +92,16 @@ impl GatHead {
         x: &Var,
         ctx: &GraphContext,
         slope: f32,
+        capture: Option<&mut Vec<GatHeadCache>>,
     ) -> Var {
-        let wh = self.w.forward(tape, store, x);
-        let a_src = tape.param(store, self.a_src);
-        let a_dst = tape.param(store, self.a_dst);
-        let s_src = wh.matmul(&a_src); // n×1 contribution of each node as source
-        let s_dst = wh.matmul(&a_dst); // n×1 contribution as destination
+        let (wh, s_src, s_dst) = self.project(tape, store, x);
+        if let Some(heads) = capture {
+            heads.push(GatHeadCache {
+                wh: wh.value(),
+                s_src: s_src.value(),
+                s_dst: s_dst.value(),
+            });
+        }
         let edges = ctx.edges();
         let logits = s_src
             .gather_rows(&edges.src)
@@ -135,9 +156,58 @@ impl GatLayer {
 
     /// Forward pass over `ctx.edges` (which include self-loops).
     pub fn forward(&self, tape: &Tape, store: &ParamStore, x: &Var, ctx: &GraphContext) -> Var {
+        self.forward_capturing(tape, store, x, ctx, None)
+    }
+
+    fn forward_capturing(
+        &self,
+        tape: &Tape,
+        store: &ParamStore,
+        x: &Var,
+        ctx: &GraphContext,
+        mut capture: Option<&mut Vec<GatHeadCache>>,
+    ) -> Var {
         let mut out: Option<Var> = None;
         for head in &self.heads {
-            let h = head.forward(tape, store, x, ctx, self.slope);
+            let h = head.forward(tape, store, x, ctx, self.slope, capture.as_deref_mut());
+            out = Some(match out {
+                None => h,
+                Some(acc) => acc.hcat(&h),
+            });
+        }
+        out.expect("at least one head by construction")
+    }
+
+    /// Each head's cached projections of the input rows `x`.
+    fn project_rows(&self, store: &ParamStore, x: &Matrix) -> Vec<GatHeadCache> {
+        let tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        self.heads
+            .iter()
+            .map(|head| {
+                let (wh, s_src, s_dst) = head.project(&tape, store, &xv);
+                GatHeadCache {
+                    wh: wh.value(),
+                    s_src: s_src.value(),
+                    s_dst: s_dst.value(),
+                }
+            })
+            .collect()
+    }
+
+    /// Attention aggregation over `edges` from cached head projections —
+    /// the same gather, LeakyReLU, segment softmax and edge aggregation as
+    /// [`GatLayer::forward`], on plain matrices.
+    fn aggregate(&self, heads: &[GatHeadCache], edges: &AttentionEdges<'_>) -> Matrix {
+        let mut out: Option<Matrix> = None;
+        for head in heads {
+            let logits = head
+                .s_src
+                .gather_rows(&edges.src)
+                .add(&head.s_dst.gather_rows(&edges.dst));
+            let alpha =
+                segment_softmax_forward(&leaky_relu_forward(&logits, self.slope), &edges.seg);
+            let h = edge_aggregate_forward(&alpha, &head.wh, &edges.src, &edges.seg, edges.n_out);
             out = Some(match out {
                 None => h,
                 Some(acc) => acc.hcat(&h),
@@ -231,6 +301,16 @@ impl GnnLayer {
         }
     }
 
+    /// The layer's family.
+    pub fn kind(&self) -> GnnKind {
+        match self {
+            GnnLayer::Gcn(_) => GnnKind::Gcn,
+            GnnLayer::Gat(_) => GnnKind::Gat,
+            GnnLayer::Gin(_) => GnnKind::Gin,
+            GnnLayer::Sage(_) => GnnKind::Sage,
+        }
+    }
+
     /// Forward pass for the wrapped layer.
     pub fn forward(&self, tape: &Tape, store: &ParamStore, x: &Var, ctx: &GraphContext) -> Var {
         match self {
@@ -238,6 +318,180 @@ impl GnnLayer {
             GnnLayer::Gat(l) => l.forward(tape, store, x, ctx),
             GnnLayer::Gin(l) => l.forward(tape, store, x, ctx),
             GnnLayer::Sage(l) => l.forward(tape, store, x, ctx),
+        }
+    }
+
+    /// [`GnnLayer::forward`], also returning the layer's [`LayerCache`]
+    /// taken from the values this pass computes anyway.
+    pub fn forward_cached(
+        &self,
+        tape: &Tape,
+        store: &ParamStore,
+        x: &Var,
+        ctx: &GraphContext,
+    ) -> (Var, LayerCache) {
+        match self {
+            GnnLayer::Gat(l) => {
+                let mut heads = Vec::with_capacity(l.num_heads());
+                let out = l.forward_capturing(tape, store, x, ctx, Some(&mut heads));
+                (out, LayerCache::Gat(heads))
+            }
+            _ => (
+                self.forward(tape, store, x, ctx),
+                LayerCache::Input(x.value()),
+            ),
+        }
+    }
+
+    /// Bring `cache` to `n` rows and overwrite the rows `rows` (sorted)
+    /// with what the new layer inputs `x` (one row per entry of `rows`)
+    /// give. Appended nodes get zero rows until their own input lands.
+    pub fn update_cache(
+        &self,
+        store: &ParamStore,
+        cache: &mut LayerCache,
+        rows: &[u32],
+        x: &Matrix,
+        n: usize,
+    ) {
+        match (self, cache) {
+            (GnnLayer::Gat(l), LayerCache::Gat(heads)) => {
+                for (head, fresh) in heads.iter_mut().zip(l.project_rows(store, x)) {
+                    put_rows(&mut head.wh, rows, &fresh.wh, n);
+                    put_rows(&mut head.s_src, rows, &fresh.s_src, n);
+                    put_rows(&mut head.s_dst, rows, &fresh.s_dst, n);
+                }
+            }
+            (GnnLayer::Gat(_), _) | (_, LayerCache::Gat(_)) => {
+                panic!("layer cache does not match the layer kind")
+            }
+            (_, LayerCache::Input(h)) => put_rows(h, rows, x, n),
+        }
+    }
+
+    /// The layer output for the rows `rows` (sorted) of `graph`, reading
+    /// every neighbour from `cache`: bit for bit those rows of
+    /// [`GnnLayer::forward`] on the whole graph, whose input the cache
+    /// holds (see [`crate::rows`] for why the bytes match).
+    pub fn forward_rows(
+        &self,
+        store: &ParamStore,
+        graph: &dyn GraphStore,
+        cache: &LayerCache,
+        rows: &[u32],
+    ) -> Matrix {
+        self.forward_from_cache(store, cache, Target::Rows(graph, rows))
+    }
+
+    /// Every row of the layer output from `cache`, through the whole-graph
+    /// views of `ctx` — what [`GnnLayer::forward_rows`] over all rows
+    /// computes, with the ordinary whole-graph kernels.
+    pub fn forward_whole(
+        &self,
+        store: &ParamStore,
+        ctx: &GraphContext,
+        cache: &LayerCache,
+    ) -> Matrix {
+        self.forward_from_cache(store, cache, Target::Whole(ctx))
+    }
+
+    fn forward_from_cache(&self, store: &ParamStore, cache: &LayerCache, at: Target<'_>) -> Matrix {
+        if let (GnnLayer::Gat(l), LayerCache::Gat(heads)) = (self, cache) {
+            return l.aggregate(heads, &at.attention_edges());
+        }
+        let LayerCache::Input(h) = cache else {
+            panic!("layer cache does not match the layer kind");
+        };
+        let tape = Tape::new();
+        let out = match self {
+            GnnLayer::Gcn(l) => {
+                let agg = tape.constant(at.adjacency(AdjacencyKind::Gcn).spmm(h));
+                l.linear.forward(&tape, store, &agg)
+            }
+            GnnLayer::Gin(l) => {
+                let nbr = tape.constant(at.adjacency(AdjacencyKind::Binary).spmm(h));
+                let own = tape.constant(at.own_rows(h));
+                l.mlp
+                    .forward(&tape, store, &nbr.add(&own.scale(1.0 + l.eps)))
+            }
+            GnnLayer::Sage(l) => {
+                let own = tape.constant(at.own_rows(h));
+                let nbr = tape.constant(at.adjacency(AdjacencyKind::Mean).spmm(h));
+                let own = l.w_self.forward(&tape, store, &own);
+                own.add(&l.w_nbr.forward(&tape, store, &nbr))
+            }
+            GnnLayer::Gat(_) => unreachable!("handled above"),
+        };
+        out.value()
+    }
+}
+
+/// What one GNN layer's row gather reads, kept full-length across graph
+/// mutations for incremental inference: after a batch, a layer rewrites
+/// the cache rows of its changed inputs ([`GnnLayer::update_cache`]) and
+/// recomputes only its dirty output rows from it
+/// ([`GnnLayer::forward_rows`]).
+#[derive(Clone, Debug)]
+pub enum LayerCache {
+    /// GCN, GIN and SAGE: the layer input `H` (`n × in`).
+    Input(Matrix),
+    /// GAT: each head's projections of the layer input.
+    Gat(Vec<GatHeadCache>),
+}
+
+/// One GAT head's cached projections of the layer input.
+#[derive(Clone, Debug)]
+pub struct GatHeadCache {
+    /// `W·h`, `n × out`.
+    wh: Matrix,
+    /// Source attention half `W·h·a_src`, `n × 1`.
+    s_src: Matrix,
+    /// Destination attention half `W·h·a_dst`, `n × 1`.
+    s_dst: Matrix,
+}
+
+impl LayerCache {
+    /// Heap bytes held by the cached matrices.
+    pub fn bytes(&self) -> usize {
+        let floats = match self {
+            LayerCache::Input(h) => h.len(),
+            LayerCache::Gat(heads) => heads
+                .iter()
+                .map(|h| h.wh.len() + h.s_src.len() + h.s_dst.len())
+                .sum(),
+        };
+        floats * std::mem::size_of::<f32>()
+    }
+}
+
+/// Where a layer's incremental forward reads its adjacency from: the rows
+/// of a dirty set through store-built row views, or every row through the
+/// whole-graph views of a context.
+#[derive(Clone, Copy)]
+enum Target<'a> {
+    Rows(&'a dyn GraphStore, &'a [u32]),
+    Whole(&'a GraphContext),
+}
+
+impl<'a> Target<'a> {
+    fn adjacency(self, kind: AdjacencyKind) -> Cow<'a, vgod_tensor::Csr> {
+        match self {
+            Target::Rows(store, rows) => Cow::Owned(adjacency_rows(store, rows, kind)),
+            Target::Whole(ctx) => Cow::Borrowed(kind.whole(ctx).as_ref()),
+        }
+    }
+
+    fn own_rows(self, h: &Matrix) -> Matrix {
+        match self {
+            Target::Rows(_, rows) => h.gather_rows(rows),
+            Target::Whole(_) => h.clone(),
+        }
+    }
+
+    fn attention_edges(self) -> AttentionEdges<'a> {
+        match self {
+            Target::Rows(store, rows) => AttentionEdges::rows(store, rows),
+            Target::Whole(ctx) => AttentionEdges::whole(ctx),
         }
     }
 }
@@ -314,6 +568,45 @@ mod tests {
     #[test]
     fn sage_shapes_and_gradients() {
         check_layer(GnnKind::Sage);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn cached_rows_match_the_whole_graph_forward_bitwise() {
+        let mut rng = seeded_rng(3);
+        let n = 40;
+        let mut g = AttributedGraph::new(Matrix::from_fn(n, 5, |_, _| rng.gen_range(-1.0..1.0)));
+        for _ in 0..90 {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if u != v {
+                g.add_edge(u, v);
+            }
+        }
+        let ctx = GraphContext::from_graph(&g);
+        let rows = [0u32, 3, 4, 17, 39];
+        for kind in [GnnKind::Gcn, GnnKind::Gat, GnnKind::Gin, GnnKind::Sage] {
+            let mut store = ParamStore::new();
+            let layer = match kind {
+                GnnKind::Gat => GnnLayer::Gat(GatLayer::with_heads(&mut store, 5, 4, 2, &mut rng)),
+                _ => GnnLayer::new(kind, &mut store, 5, 4, &mut rng),
+            };
+            let tape = Tape::new();
+            let x = features_leaf(&tape, g.attrs());
+            let (y, cache) = layer.forward_cached(&tape, &store, &x, &ctx);
+            let y = y.value();
+            let sub = layer.forward_rows(&store, &g, &cache, &rows);
+            assert_eq!(bits(&sub), bits(&y.gather_rows(&rows)), "{kind} rows");
+            let whole = layer.forward_whole(&store, &ctx, &cache);
+            assert_eq!(bits(&whole), bits(&y), "{kind} whole");
+            // Rewriting cache rows with their own inputs changes nothing.
+            let mut again = cache.clone();
+            layer.update_cache(&store, &mut again, &rows, &g.attrs().gather_rows(&rows), n);
+            let sub = layer.forward_rows(&store, &g, &again, &rows);
+            assert_eq!(bits(&sub), bits(&y.gather_rows(&rows)), "{kind} updated");
+        }
     }
 
     #[test]

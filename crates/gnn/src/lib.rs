@@ -20,10 +20,14 @@
 
 mod context;
 mod layers;
+pub mod rows;
 mod variance;
 
 pub use context::{EdgeIndex, GraphContext};
-pub use layers::{GatLayer, GcnLayer, GinLayer, GnnKind, GnnLayer, SageLayer};
+pub use layers::{
+    GatHeadCache, GatLayer, GcnLayer, GinLayer, GnnKind, GnnLayer, LayerCache, SageLayer,
+};
 pub use variance::{
     mean_conv, neighbor_variance, neighbor_variance_matrix, neighbor_variance_scores,
+    neighbor_variance_with_squares,
 };

@@ -35,8 +35,15 @@ pub fn neighbor_variance_scores(h: &Var, mean_adj: &Rc<Csr>) -> Var {
 /// Inference-time neighbour variance on plain matrices (no tape): used when
 /// scoring a graph with a trained model.
 pub fn neighbor_variance_matrix(h: &Matrix, mean_adj: &Csr) -> Matrix {
+    neighbor_variance_with_squares(h, &h.mul(h), mean_adj)
+}
+
+/// [`neighbor_variance_matrix`] given `h ∘ h` as well. `mean_adj` may be a
+/// row subset of the operator (`Csr::spmm` reads only the columns a row
+/// names), which yields exactly those rows of the whole-graph variance.
+pub fn neighbor_variance_with_squares(h: &Matrix, h_sq: &Matrix, mean_adj: &Csr) -> Matrix {
     let mean = mean_adj.spmm(h);
-    let sq = mean_adj.spmm(&h.mul(h));
+    let sq = mean_adj.spmm(h_sq);
     sq.sub(&mean.mul(&mean))
 }
 

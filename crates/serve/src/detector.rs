@@ -6,7 +6,7 @@ use vgod::{Arm, Vbm, Vgod};
 use vgod_baselines::{
     AnomalyDae, Cola, Conad, Deg, DegNorm, Dominant, Done, L2Norm, Radar, RandomDetector,
 };
-use vgod_eval::{DeltaCapability, OutlierDetector, RangeScores, Scores};
+use vgod_eval::{DeltaCapability, LayerState, LayeredDelta, OutlierDetector, RangeScores, Scores};
 use vgod_graph::{AttributedGraph, GraphStore, SamplingConfig};
 
 /// Any detector the workspace can persist and serve.
@@ -162,6 +162,19 @@ impl OutlierDetector for AnyDetector {
 
     fn delta_capability(&self) -> DeltaCapability {
         for_each_variant!(self, m => m.delta_capability())
+    }
+
+    fn score_with_state(&self, g: &AttributedGraph) -> (Scores, Option<LayerState>) {
+        for_each_variant!(self, m => m.score_with_state(g))
+    }
+
+    fn rescore_layered(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        for_each_variant!(self, m => m.rescore_layered(store, touched, state))
     }
 }
 

@@ -324,7 +324,9 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown();
-        self.join();
+        // `join` re-raises a streaming thread's panic, already logged; a
+        // drop must not panic, so only an explicit `join` surfaces it.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.join()));
     }
 }
 

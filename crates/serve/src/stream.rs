@@ -10,8 +10,8 @@
 //!   POST /graph/update ──▶ bounded queue ──▶ mutation worker
 //!                                             │ apply batch → touched set
 //!                                             │ per model:
-//!                                             │   Local{k}:  frontier = B_k(touched)
-//!                                             │              closure rescore, patch cache
+//!                                             │   Local:     recompute the dirty rows
+//!                                             │              (layer-wise or closure), patch cache
 //!                                             │   Full:      full pass on mutated graph
 //!                                             │   Refit:     fit + full pass
 //!                                             ▼
@@ -35,9 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use vgod_eval::{
-    dirty_frontier, rescore_frontier, DeltaCapability, OutlierDetector, ScoreCache, ScoreMerge,
-};
+use vgod_eval::{apply_mutation_rescore, DeltaCapability, OutlierDetector, ScoreCache};
 use vgod_graph::{load_graph, AttributedGraph, FrozenGraph, GraphMutation, GraphStore, OverlayGraph};
 
 use crate::engine::{ReplyFn, ScoreError, ScoreReply, SubmitError};
@@ -173,7 +171,9 @@ impl StreamEngine {
     /// Load every checkpoint under `models_dir` and the graph at
     /// `graph_path`, run one full scoring pass per model (so the first
     /// served scores are byte-identical to offline `vgod detect` on the
-    /// startup graph), and start the mutation worker + compactor threads.
+    /// startup graph, and models with a layer-wise delta path keep that
+    /// pass's activations for the first update), and start the mutation
+    /// worker + compactor threads.
     ///
     /// Checkpoints never hot-reload in streaming mode (models stay at
     /// version 1) — the version axis is carried by the *graph* instead.
@@ -196,11 +196,7 @@ impl StreamEngine {
             let (detector, version) = registry.get(&info.name, None).map_err(|e| e.to_string())?;
             let detector = detector.clone();
             let capability = detector.delta_capability();
-            let merge = match capability {
-                DeltaCapability::Local { merge, .. } => merge,
-                _ => ScoreMerge::Concat,
-            };
-            let cache = ScoreCache::new(detector.score(&g), merge);
+            let cache = ScoreCache::for_detector(&detector, &g);
             models.push(StreamModel {
                 name: info.name.clone(),
                 kind: info.kind.clone(),
@@ -482,21 +478,59 @@ impl StreamEngine {
         let _ = self.tx.send(Job::Shutdown);
     }
 
+    /// Join the mutation worker and the compactor. A thread that panicked
+    /// is logged with its payload, and once both are joined the first
+    /// panic is re-raised, so a dead worker cannot end a shutdown that
+    /// reports success.
     pub(crate) fn join(&self) {
-        if let Some(handle) = self.worker.lock().unwrap().take() {
-            let _ = handle.join();
+        if let Some(payload) = self.join_threads() {
+            std::panic::resume_unwind(payload);
         }
-        if let Some(handle) = self.compactor.lock().unwrap().take() {
-            let _ = handle.join();
-        }
+    }
+
+    fn join_threads(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        join_all(&[
+            ("mutation worker", &self.worker),
+            ("compactor", &self.compactor),
+        ])
     }
 }
 
 impl Drop for StreamEngine {
     fn drop(&mut self) {
         self.shutdown();
-        self.join();
+        // Drop must not panic: a thread's panic is logged by the join, and
+        // only an explicit `join` re-raises it.
+        let _ = self.join_threads();
     }
+}
+
+type ThreadSlot = Mutex<Option<std::thread::JoinHandle<()>>>;
+
+/// Join every thread in `slots` and log each panic with its payload;
+/// returns the first panic's payload once all are joined.
+fn join_all(slots: &[(&str, &ThreadSlot)]) -> Option<Box<dyn std::any::Any + Send>> {
+    let mut first_panic = None;
+    for (name, slot) in slots {
+        // A poisoned slot still holds a valid `Option`; take it regardless.
+        let handle = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(Err(payload)) = handle.map(|h| h.join()) {
+            eprintln!(
+                "vgod serve: stream {name} thread panicked: {}",
+                panic_message(&*payload)
+            );
+            first_panic.get_or_insert(payload);
+        }
+    }
+    first_panic
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 fn publish(overlay: &OverlayGraph, models: &[StreamModel]) -> StreamSnapshot {
@@ -575,18 +609,19 @@ fn worker_loop(
             let mut full_graph: Option<AttributedGraph> = None;
             for model in &mut models {
                 match model.capability {
-                    DeltaCapability::Local { hops, .. } => {
-                        model.cache.grow(overlay.num_nodes());
-                        let frontier = dirty_frontier(&overlay, &effect.touched, hops);
-                        let delta =
-                            rescore_frontier(&model.detector, &overlay, &frontier, hops);
-                        model.cache.patch(&frontier, &delta);
-                        shared.stream.record_frontier(frontier.len());
+                    DeltaCapability::Local { .. } => {
+                        let frontier = apply_mutation_rescore(
+                            &model.detector,
+                            &overlay,
+                            &effect.touched,
+                            &mut model.cache,
+                        );
+                        shared.stream.record_frontier(frontier);
                         shared
                             .stream
                             .delta_nodes
-                            .fetch_add(frontier.len() as u64, Ordering::Relaxed);
-                        max_frontier = max_frontier.max(frontier.len());
+                            .fetch_add(frontier as u64, Ordering::Relaxed);
+                        max_frontier = max_frontier.max(frontier);
                     }
                     DeltaCapability::FullRescore => {
                         let g = full_graph.get_or_insert_with(|| overlay.materialize());
@@ -755,6 +790,26 @@ mod tests {
         let graph_path = tmp(&format!("{tag}_graph.txt"));
         save_graph(&g, graph_path.display().to_string()).unwrap();
         (dir, graph_path, g)
+    }
+
+    #[test]
+    fn join_reports_a_thread_panic_after_joining_every_thread() {
+        let finished = Arc::new(AtomicBool::new(false));
+        let done = Arc::clone(&finished);
+        let worker: ThreadSlot = Mutex::new(Some(std::thread::spawn(|| panic!("worker died"))));
+        let compactor: ThreadSlot = Mutex::new(Some(std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            done.store(true, Ordering::SeqCst);
+        })));
+        let slots = [("mutation worker", &worker), ("compactor", &compactor)];
+        let payload = join_all(&slots).expect("the worker's panic must surface");
+        assert_eq!(panic_message(&*payload), "worker died");
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the compactor is joined before the panic is reported"
+        );
+        // Nothing left to join: a second join reports nothing.
+        assert!(join_all(&slots).is_none());
     }
 
     fn apply(engine: &StreamEngine, ops: Vec<GraphMutation>) -> (u16, String) {
