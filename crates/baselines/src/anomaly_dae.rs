@@ -4,10 +4,7 @@
 
 use rand::Rng;
 use vgod_autograd::{persist, ParamStore, Tape, Var};
-use vgod_eval::{
-    refit_score_store, refit_score_store_range, DeltaCapability, OutlierDetector, RangeScores,
-    Scores,
-};
+use vgod_eval::{score_sampled_range, DeltaCapability, OutlierDetector, Scores};
 use vgod_gnn::{GatLayer, GraphContext};
 use vgod_graph::{seeded_rng, AttributedGraph, GraphStore, SamplingConfig};
 use vgod_nn::{Activation, Linear, Trainer};
@@ -241,25 +238,21 @@ impl OutlierDetector for AnomalyDae {
         }
     }
 
-    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        // The attribute encoder's input dimension is |V|, so the fitted
-        // model only scores graphs with the training node count. Above the
-        // sampling threshold each batch neighbourhood is refitted and
-        // scored as its own transductive problem (the per-node combination
-        // `α·s + (1−α)·a` is local, so seeds concatenate cleanly).
-        refit_score_store(self, store, cfg)
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         store: &dyn GraphStore,
         cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        // Same refit-per-batch decomposition as `score_store`, restricted
-        // to the shard's batches.
-        refit_score_store_range(self, store, cfg, lo, hi)
+    ) -> Scores {
+        // The attribute encoder's input dimension is |V|, so the fitted
+        // model only scores graphs with the training node count. Each batch
+        // neighbourhood is refitted by a fresh clone and scored as its own
+        // transductive problem (the per-node combination `α·s + (1−α)·a`
+        // is local, so seeds concatenate cleanly).
+        score_sampled_range(store, cfg, lo, hi, &|batch| {
+            self.clone().fit_score(&batch.graph)
+        })
     }
 
     fn delta_capability(&self) -> DeltaCapability {

@@ -4,10 +4,7 @@
 //! injection).
 
 use vgod_autograd::{persist, ParamStore};
-use vgod_eval::{
-    refit_score_store, refit_score_store_range, DeltaCapability, OutlierDetector, RangeScores,
-    Scores,
-};
+use vgod_eval::{score_sampled_range, DeltaCapability, OutlierDetector, Scores};
 use vgod_gnn::GraphContext;
 use vgod_graph::{seeded_rng, AttributedGraph, GraphStore, SamplingConfig};
 use vgod_nn::Trainer;
@@ -174,24 +171,21 @@ impl OutlierDetector for Radar {
         Scores::combined_only(scores.clone())
     }
 
-    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        // Radar's residual matrix is tied to the fitted node set, so the
-        // generic batched path (global model, sampled subgraphs) cannot
-        // apply. Each batch neighbourhood becomes its own small
-        // transductive problem instead: refit-and-score per batch.
-        refit_score_store(self, store, cfg)
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         store: &dyn GraphStore,
         cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        // Refit-per-batch is embarrassingly range-parallel: each batch is
-        // its own transductive problem, so shards just split the batches.
-        refit_score_store_range(self, store, cfg, lo, hi)
+    ) -> Scores {
+        // Radar's residual matrix is tied to the fitted node set, so the
+        // generic batched path (global model, sampled subgraphs) cannot
+        // apply. Each batch neighbourhood becomes its own small
+        // transductive problem instead: a fresh clone refits and scores
+        // it, which also makes the path embarrassingly range-parallel.
+        score_sampled_range(store, cfg, lo, hi, &|batch| {
+            self.clone().fit_score(&batch.graph)
+        })
     }
 
     fn delta_capability(&self) -> DeltaCapability {

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use vgod_autograd::persist;
-use vgod_eval::{full_graph_view, DeltaCapability, OutlierDetector, RangeScores, ScoreMerge, Scores};
+use vgod_eval::{DeltaCapability, OutlierDetector, ScoreMerge, Scores};
 use vgod_graph::{seeded_rng, AttributedGraph, GraphStore, SamplingConfig};
 
 /// Node degree as the outlier score (the structural leakage probe of
@@ -37,24 +37,16 @@ impl OutlierDetector for Deg {
 
     fn fit_store(&mut self, _store: &dyn GraphStore, _cfg: &SamplingConfig) {}
 
-    fn score_store(&self, store: &dyn GraphStore, _cfg: &SamplingConfig) -> Scores {
-        // Exact at any scale: degrees stream straight off the store's
-        // (fully resident) edge index, no sampling involved.
-        Scores::combined_only(store_degrees(store))
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         store: &dyn GraphStore,
         _cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        // Per-node exact, so a shard only reads its own degrees.
-        RangeScores {
-            scores: Scores::combined_only(store_degrees_range(store, lo, hi)),
-            merge: ScoreMerge::Concat,
-        }
+    ) -> Scores {
+        // Exact at any scale: degrees read straight off the store's (fully
+        // resident) edge index, no sampling involved.
+        Scores::combined_only(store_degrees_range(store, lo, hi))
     }
 
     fn delta_capability(&self) -> DeltaCapability {
@@ -98,35 +90,16 @@ impl OutlierDetector for L2Norm {
 
     fn fit_store(&mut self, _store: &dyn GraphStore, _cfg: &SamplingConfig) {}
 
-    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        if let Some(g) = full_graph_view(store, cfg) {
-            // Bit-identical small-graph path (SIMD row_norms reduction).
-            return self.score(&g);
-        }
-        // Exact up to summation order: one streaming pass over the
-        // attribute chunks, never materialising the n×d matrix.
-        Scores::combined_only(store_l2_norms(store))
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         store: &dyn GraphStore,
-        cfg: &SamplingConfig,
+        _cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        if let Some(g) = full_graph_view(store, cfg) {
-            return RangeScores {
-                scores: self.score(&g).slice_range(lo as usize, hi as usize),
-                merge: ScoreMerge::Concat,
-            };
-        }
-        // Same per-row arithmetic as the streaming pass, restricted to the
-        // shard's own attribute rows.
-        RangeScores {
-            scores: Scores::combined_only(store_l2_norms_range(store, lo, hi)),
-            merge: ScoreMerge::Concat,
-        }
+    ) -> Scores {
+        // Exact up to summation order: one pass over the range's attribute
+        // rows, never materialising the n×d matrix.
+        Scores::combined_only(store_l2_norms_range(store, lo, hi))
     }
 
     fn delta_capability(&self) -> DeltaCapability {
@@ -171,47 +144,26 @@ impl OutlierDetector for DegNorm {
 
     fn fit_store(&mut self, _store: &dyn GraphStore, _cfg: &SamplingConfig) {}
 
-    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        if let Some(g) = full_graph_view(store, cfg) {
-            return self.score(&g);
-        }
-        // Eq. 20's mean-std combination is a global normalisation: both
-        // components are streamed at full length and combined once, so the
-        // ranking is not distorted by per-batch statistics.
-        Scores::from_components(store_degrees(store), store_l2_norms(store))
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         store: &dyn GraphStore,
-        cfg: &SamplingConfig,
+        _cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        if let Some(g) = full_graph_view(store, cfg) {
-            return RangeScores {
-                scores: self.score(&g).slice_range(lo as usize, hi as usize),
-                merge: ScoreMerge::Concat,
-            };
-        }
-        // Eq. 20 is the halo-free half of distributed scoring: a shard
-        // emits raw degree/L2 components for its own rows and the
-        // coordinator reapplies the global mean-std combination over the
-        // concatenated full-length vectors (the local combined is a
-        // placeholder it overwrites).
-        RangeScores {
-            scores: Scores::from_components(
-                store_degrees_range(store, lo, hi),
-                store_l2_norms_range(store, lo, hi),
-            ),
-            merge: ScoreMerge::MeanStd,
-        }
+    ) -> Scores {
+        // Raw degree/L2 components of the range's own rows; the local
+        // combined is a placeholder the global merge rule overwrites.
+        Scores::from_components(
+            store_degrees_range(store, lo, hi),
+            store_l2_norms_range(store, lo, hi),
+        )
     }
 
     fn delta_capability(&self) -> DeltaCapability {
-        // Raw components are local (degree needs the 1-hop closure); the
-        // Eq. 20 mean-std combination moves to the global merge rule, same
-        // as the sharded path above.
+        // Raw components are local (degree needs the 1-hop closure). Eq.
+        // 20's mean-std combination is a global normalisation, so it is the
+        // merge rule, applied once over the full-length channels — the
+        // ranking is not distorted by per-range statistics.
         DeltaCapability::Local {
             hops: 1,
             merge: ScoreMerge::MeanStd,
@@ -273,35 +225,21 @@ impl OutlierDetector for RandomDetector {
 
     fn fit_store(&mut self, _store: &dyn GraphStore, _cfg: &SamplingConfig) {}
 
-    fn score_store(&self, store: &dyn GraphStore, _cfg: &SamplingConfig) -> Scores {
-        // Only the node count matters: bit-identical to `score` at any
-        // scale, no sampling involved.
-        let mut rng = seeded_rng(self.seed);
-        Scores::combined_only(
-            (0..store.num_nodes())
-                .map(|_| rng.gen_range(0.0..1.0))
-                .collect(),
-        )
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         _store: &dyn GraphStore,
         _cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        // The RNG stream is sequential over node ids, so a shard replays
-        // the draws up to `lo` and keeps its own range — identical values
-        // regardless of how the node set is partitioned.
+    ) -> Scores {
+        // Only node ids matter, so this is bit-identical to `score` at any
+        // scale. The RNG stream is sequential over node ids: a range
+        // replays the draws up to `lo` and keeps its own.
         let mut rng = seeded_rng(self.seed);
         for _ in 0..lo {
             let _: f32 = rng.gen_range(0.0..1.0);
         }
-        RangeScores {
-            scores: Scores::combined_only((lo..hi).map(|_| rng.gen_range(0.0..1.0)).collect()),
-            merge: ScoreMerge::Concat,
-        }
+        Scores::combined_only((lo..hi).map(|_| rng.gen_range(0.0..1.0)).collect())
     }
 }
 
@@ -313,20 +251,6 @@ fn degrees(g: &AttributedGraph) -> Vec<f32> {
 
 fn l2_norms(g: &AttributedGraph) -> Vec<f32> {
     g.attrs().row_norms().into_vec()
-}
-
-fn store_degrees(store: &dyn GraphStore) -> Vec<f32> {
-    (0..store.num_nodes() as u32)
-        .map(|u| store.degree(u) as f32)
-        .collect()
-}
-
-fn store_l2_norms(store: &dyn GraphStore) -> Vec<f32> {
-    let mut out = Vec::with_capacity(store.num_nodes());
-    store.visit_attrs(&mut |_, row| {
-        out.push(row.iter().map(|v| v * v).sum::<f32>().sqrt());
-    });
-    out
 }
 
 fn store_degrees_range(store: &dyn GraphStore, lo: u32, hi: u32) -> Vec<f32> {

@@ -1,5 +1,6 @@
 //! Configuration for the VGOD framework.
 
+use vgod_eval::ScoreMerge;
 use vgod_gnn::GnnKind;
 
 /// GNN family used as the ARM backbone (§V-B "GNN Layers", Table VIII).
@@ -124,12 +125,38 @@ pub enum CombineStrategy {
     Weighted(f32),
 }
 
+/// A strategy is the global [`ScoreMerge`] rule of VGOD's two channels;
+/// `ScoreMerge` holds the combine kernels.
+impl From<CombineStrategy> for ScoreMerge {
+    fn from(strategy: CombineStrategy) -> ScoreMerge {
+        match strategy {
+            CombineStrategy::MeanStd => ScoreMerge::MeanStd,
+            CombineStrategy::SumToUnit => ScoreMerge::SumToUnit,
+            CombineStrategy::Weighted(alpha) => ScoreMerge::Weighted(alpha),
+        }
+    }
+}
+
+/// Every rule but [`ScoreMerge::Concat`] (which combines nothing) is a
+/// strategy.
+impl TryFrom<ScoreMerge> for CombineStrategy {
+    type Error = String;
+
+    fn try_from(merge: ScoreMerge) -> Result<CombineStrategy, String> {
+        match merge {
+            ScoreMerge::Concat => Err("concat is not a combine strategy".into()),
+            ScoreMerge::MeanStd => Ok(CombineStrategy::MeanStd),
+            ScoreMerge::SumToUnit => Ok(CombineStrategy::SumToUnit),
+            ScoreMerge::Weighted(alpha) => Ok(CombineStrategy::Weighted(alpha)),
+        }
+    }
+}
+
 impl std::fmt::Display for CombineStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CombineStrategy::MeanStd => f.write_str("mean-std"),
-            CombineStrategy::SumToUnit => f.write_str("sum-to-unit"),
-            CombineStrategy::Weighted(a) => write!(f, "weighted(α={a})"),
+        match ScoreMerge::from(*self) {
+            ScoreMerge::Weighted(a) => write!(f, "weighted(α={a})"),
+            merge => f.write_str(&merge.wire_name()),
         }
     }
 }

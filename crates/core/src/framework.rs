@@ -4,8 +4,7 @@ use std::any::Any;
 use std::borrow::Cow;
 
 use vgod_eval::{
-    combine_mean_std, combine_sum_to_unit, full_graph_view, DeltaCapability, LayerState,
-    LayeredDelta, OutlierDetector, RangeScores, ScoreMerge, Scores,
+    full_graph_view, DeltaCapability, LayerState, LayeredDelta, OutlierDetector, ScoreMerge, Scores,
 };
 use vgod_graph::{k_hop_ball, AttributedGraph, GraphStore, NeighborSampler, SamplingConfig};
 
@@ -135,12 +134,11 @@ impl Vgod {
     /// Panics if either model is untrained.
     pub fn save(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
         writeln!(out, "# vgod-framework v1")?;
-        let combine = match self.cfg.combine {
-            CombineStrategy::MeanStd => "mean-std".to_string(),
-            CombineStrategy::SumToUnit => "sum-to-unit".to_string(),
-            CombineStrategy::Weighted(a) => format!("weighted:{a}"),
-        };
-        writeln!(out, "combine {combine}")?;
+        writeln!(
+            out,
+            "combine {}",
+            ScoreMerge::from(self.cfg.combine).wire_name()
+        )?;
         self.vbm.save(out)?;
         self.arm.save(out)
     }
@@ -155,14 +153,7 @@ impl Vgod {
         let mut line = String::new();
         input.read_line(&mut line).map_err(|e| e.to_string())?;
         let combine = match line.trim().strip_prefix("combine ") {
-            Some("mean-std") => CombineStrategy::MeanStd,
-            Some("sum-to-unit") => CombineStrategy::SumToUnit,
-            Some(other) => match other.strip_prefix("weighted:") {
-                Some(alpha) => CombineStrategy::Weighted(
-                    alpha.parse().map_err(|e| format!("bad weight: {e}"))?,
-                ),
-                None => return Err(format!("unknown combine strategy {other:?}")),
-            },
+            Some(name) => CombineStrategy::try_from(ScoreMerge::parse_wire(name)?)?,
             None => return Err(format!("bad combine line: {line:?}")),
         };
         let vbm = Vbm::load(input)?;
@@ -176,16 +167,6 @@ impl Vgod {
         Ok(Vgod { cfg, vbm, arm })
     }
 
-    /// The configured combine strategy as a global merge rule over
-    /// full-length channels.
-    fn merge_rule(&self) -> ScoreMerge {
-        match self.cfg.combine {
-            CombineStrategy::MeanStd => ScoreMerge::MeanStd,
-            CombineStrategy::SumToUnit => ScoreMerge::SumToUnit,
-            CombineStrategy::Weighted(alpha) => ScoreMerge::Weighted(alpha),
-        }
-    }
-
     /// Both channels plus their combination.
     fn components(&self, structural: Vec<f32>, contextual: Vec<f32>) -> Scores {
         Scores {
@@ -195,17 +176,10 @@ impl Vgod {
         }
     }
 
-    /// Combine structural and contextual scores per the configured strategy.
+    /// Combine structural and contextual scores per the configured strategy
+    /// (its [`ScoreMerge`] rule).
     pub fn combine(&self, structural: &[f32], contextual: &[f32]) -> Vec<f32> {
-        match self.cfg.combine {
-            CombineStrategy::MeanStd => combine_mean_std(structural, contextual),
-            CombineStrategy::SumToUnit => combine_sum_to_unit(structural, contextual),
-            CombineStrategy::Weighted(alpha) => structural
-                .iter()
-                .zip(contextual)
-                .map(|(&s, &c)| alpha * s + (1.0 - alpha) * c)
-                .collect(),
-        }
+        ScoreMerge::from(self.cfg.combine).combine(structural, contextual)
     }
 }
 
@@ -231,63 +205,36 @@ impl OutlierDetector for Vgod {
         self.arm.fit_store(store, cfg);
     }
 
-    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        // Score combination (Eq. 19) is a *global* normalisation, so the
-        // components are scored across all batches first and combined once
-        // at full length — per-batch combination would normalise against
-        // batch statistics and distort the ranking.
-        let structural = self.vbm.score_store(store, cfg).combined;
-        let contextual = self.arm.score_store(store, cfg).combined;
-        self.components(structural, contextual)
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         store: &dyn GraphStore,
         cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        if let Some(g) = full_graph_view(store, cfg) {
-            // Already globally combined by the full pass; the coordinator
-            // only needs to concatenate the rows.
-            return RangeScores {
-                scores: self.score(&g).slice_range(lo as usize, hi as usize),
-                merge: ScoreMerge::Concat,
-            };
-        }
-        // Ship raw per-range components; the *global* Eq. 19 combination
-        // must run over full-length vectors, so it moves to the merge rule
-        // applied by the coordinator after concatenation. The local
-        // `combined` is a range-normalised placeholder, overwritten there.
-        let structural = self
-            .vbm
-            .score_store_range(store, cfg, lo, hi)
-            .scores
-            .combined;
-        let contextual = self
-            .arm
-            .score_store_range(store, cfg, lo, hi)
-            .scores
-            .combined;
-        RangeScores {
-            scores: self.components(structural, contextual),
-            merge: self.merge_rule(),
-        }
+    ) -> Scores {
+        // Score combination (Eq. 19) is a *global* normalisation, so the
+        // raw components are what a range yields; the combination is the
+        // merge rule, applied once over full-length vectors after
+        // concatenation — per-range combination would normalise against
+        // range statistics and distort the ranking. The local `combined`
+        // is a placeholder the merge overwrites.
+        let structural = self.vbm.score_channels(store, cfg, lo, hi).combined;
+        let contextual = self.arm.score_channels(store, cfg, lo, hi).combined;
+        self.components(structural, contextual)
     }
 
     fn delta_capability(&self) -> DeltaCapability {
         // Receptive field = the wider component: VBM is 1-hop, ARM is its
         // GCN/GAT depth plus one ring for exact endpoint degrees. The
-        // global Eq. 19 combination becomes the merge rule, exactly as in
-        // the sharded path above.
+        // global Eq. 19 combination is the merge rule over full-length
+        // channels, for store, sharded and streaming scoring alike.
         let hops = match self.arm.delta_capability() {
             DeltaCapability::Local { hops, .. } => hops.max(1),
             _ => unreachable!("ARM is always local"),
         };
         DeltaCapability::Local {
             hops,
-            merge: self.merge_rule(),
+            merge: self.cfg.combine.into(),
         }
     }
 
@@ -569,6 +516,8 @@ mod tests {
     fn framework_load_rejects_component_checkpoints() {
         assert!(Vgod::load(&mut b"# vgod-vbm v1\n".as_slice()).is_err());
         assert!(Vgod::load(&mut b"# vgod-framework v1\ncombine bogus\n".as_slice()).is_err());
+        // `concat` is a wire rule, but it combines nothing.
+        assert!(Vgod::load(&mut b"# vgod-framework v1\ncombine concat\n".as_slice()).is_err());
     }
 
     #[test]

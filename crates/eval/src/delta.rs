@@ -12,7 +12,7 @@
 //!   reading unchanged neighbour rows from the cached layer input, so a
 //!   batch costs its `B_L(T)` rows rather than the graph.
 //! * **Closure** (every other Local detector): frontier = `B_hops(T)`
-//!   ([`dirty_frontier`]); closure = `B_hops(frontier)`, whose exact
+//!   ([`k_hop_ball`]); closure = `B_hops(frontier)`, whose exact
 //!   induced subgraph reproduces every frontier node's receptive field and
 //!   the degrees its kernels normalise by; the detector's ordinary `score`
 //!   runs on the closure and the frontier rows are kept
@@ -34,16 +34,9 @@ use vgod_graph::{induced_store_subgraph, k_hop_ball, GraphStore};
 
 use vgod_graph::AttributedGraph;
 
-use crate::detector::{DeltaCapability, LayerState, OutlierDetector, ScoreMerge, Scores};
-
-/// The dirty frontier of a mutation batch: every node whose raw score
-/// channels can have changed, i.e. the ball `B_hops(touched)` on the
-/// post-mutation graph. `touched` must already include the former
-/// neighbours of removed edges / tombstoned nodes (the overlay's
-/// `BatchEffect` guarantees this). Sorted.
-pub fn dirty_frontier(store: &dyn GraphStore, touched: &[u32], hops: usize) -> Vec<u32> {
-    k_hop_ball(store, touched, hops)
-}
+use crate::detector::{
+    merge_rule, DeltaCapability, LayerState, OutlierDetector, ScoreMerge, Scores,
+};
 
 /// Rescore a frontier exactly: extract the closure `B_hops(frontier)` as a
 /// sorted-id induced subgraph, run the detector's ordinary full-graph
@@ -62,7 +55,7 @@ pub fn rescore_frontier(
 ) -> Scores {
     let closure = k_hop_ball(store, frontier, hops);
     let sub = induced_store_subgraph(store, &closure);
-    let scores = sub_scores(det, &sub);
+    let scores = det.score(&sub);
     // frontier ⊆ closure, both sorted: one merge scan selects the rows.
     let mut rows = Vec::with_capacity(frontier.len());
     let mut pos = 0usize;
@@ -78,10 +71,6 @@ pub fn rescore_frontier(
         structural: scores.structural.as_ref().map(select),
         contextual: scores.contextual.as_ref().map(select),
     }
-}
-
-fn sub_scores(det: &dyn OutlierDetector, sub: &vgod_graph::AttributedGraph) -> Scores {
-    det.score(sub)
 }
 
 /// A model's served scores: full-length raw channels plus the merge rule
@@ -127,14 +116,10 @@ impl ScoreCache {
     /// ([`OutlierDetector::score_with_state`]), so the first mutation batch
     /// already runs incrementally.
     pub fn for_detector(det: &dyn OutlierDetector, g: &AttributedGraph) -> ScoreCache {
-        let merge = match det.delta_capability() {
-            DeltaCapability::Local { merge, .. } => merge,
-            _ => ScoreMerge::Concat,
-        };
         let (full, state) = det.score_with_state(g);
         ScoreCache {
             state,
-            ..ScoreCache::new(full, merge)
+            ..ScoreCache::new(full, merge_rule(det))
         }
     }
 
@@ -245,7 +230,12 @@ pub fn apply_mutation_rescore(
                     (layered.rows, layered.scores)
                 }
                 None => {
-                    let frontier = dirty_frontier(store, touched, hops);
+                    // Every node whose raw channels can have changed: the
+                    // ball `B_hops(touched)` on the post-mutation graph.
+                    // `touched` already holds the former neighbours of
+                    // removed edges and tombstoned nodes (the overlay's
+                    // `BatchEffect` guarantees this).
+                    let frontier = k_hop_ball(store, touched, hops);
                     let delta = rescore_frontier(det, store, &frontier, hops);
                     (frontier, delta)
                 }

@@ -145,6 +145,24 @@ impl ScoreMerge {
         }
     }
 
+    /// The rule's combination of a structural and a contextual vector —
+    /// the one implementation of the combine kernels.
+    ///
+    /// # Panics
+    /// Panics for [`ScoreMerge::Concat`], which combines nothing.
+    pub fn combine(&self, structural: &[f32], contextual: &[f32]) -> Vec<f32> {
+        match self {
+            ScoreMerge::Concat => panic!("the concat rule has no combination"),
+            ScoreMerge::MeanStd => combine_mean_std(structural, contextual),
+            ScoreMerge::SumToUnit => combine_sum_to_unit(structural, contextual),
+            ScoreMerge::Weighted(alpha) => structural
+                .iter()
+                .zip(contextual)
+                .map(|(&s, &c)| alpha * s + (1.0 - alpha) * c)
+                .collect(),
+        }
+    }
+
     /// Apply the rule to full-length concatenated channels, producing the
     /// final global combined score.
     ///
@@ -163,16 +181,7 @@ impl ScoreMerge {
             .contextual
             .as_deref()
             .expect("merge rule needs a contextual channel");
-        scores.combined = match self {
-            ScoreMerge::Concat => unreachable!(),
-            ScoreMerge::MeanStd => combine_mean_std(structural, contextual),
-            ScoreMerge::SumToUnit => combine_sum_to_unit(structural, contextual),
-            ScoreMerge::Weighted(alpha) => structural
-                .iter()
-                .zip(contextual)
-                .map(|(&s, &c)| alpha * s + (1.0 - alpha) * c)
-                .collect(),
-        };
+        scores.combined = self.combine(structural, contextual);
         scores
     }
 }
@@ -235,6 +244,18 @@ pub struct RangeScores {
     pub merge: ScoreMerge,
 }
 
+/// The rule that recombines a detector's concatenated range channels: the
+/// `merge` of its [`DeltaCapability::Local`] declaration, else
+/// [`ScoreMerge::Concat`]. Sharded scoring, `score_store` and the
+/// streaming [`crate::ScoreCache`] all read the rule here, so a detector
+/// states it once, in [`OutlierDetector::delta_capability`].
+pub fn merge_rule<D: OutlierDetector + ?Sized>(det: &D) -> ScoreMerge {
+    match det.delta_capability() {
+        DeltaCapability::Local { merge, .. } => merge,
+        _ => ScoreMerge::Concat,
+    }
+}
+
 /// Reassemble per-range score channels (ranges tile `[0, n)` in order)
 /// into the global [`Scores`], applying the shared merge rule. This is the
 /// coordinator half of sharded scoring; byte-identical to a single-process
@@ -245,32 +266,45 @@ pub struct RangeScores {
 /// concatenated length is not `n`.
 pub fn merge_range_scores(n: usize, parts: Vec<RangeScores>) -> Scores {
     let merge = parts.first().expect("at least one range").merge;
-    let mut combined = Vec::with_capacity(n);
-    let mut structural = Some(Vec::with_capacity(n));
-    let mut contextual = Some(Vec::with_capacity(n));
-    for part in parts {
+    let scores = concat_scores(parts.into_iter().map(|part| {
         assert!(
             part.merge == merge,
             "shards disagree on the merge rule: {:?} vs {:?}",
             part.merge,
             merge
         );
-        combined.extend_from_slice(&part.scores.combined);
-        match (&mut structural, &part.scores.structural) {
-            (Some(acc), Some(p)) => acc.extend_from_slice(p),
-            _ => structural = None,
-        }
-        match (&mut contextual, &part.scores.contextual) {
-            (Some(acc), Some(p)) => acc.extend_from_slice(p),
-            _ => contextual = None,
+        part.scores
+    }));
+    assert_eq!(
+        scores.combined.len(),
+        n,
+        "score ranges must tile every node once"
+    );
+    merge.apply(scores)
+}
+
+/// Concatenate score parts in order, moving the first part's vectors. A
+/// structural/contextual channel survives only when every part has it.
+fn concat_scores(parts: impl IntoIterator<Item = Scores>) -> Scores {
+    fn extend(acc: &mut Option<Vec<f32>>, part: Option<Vec<f32>>) {
+        match (acc.as_mut(), part) {
+            (Some(acc), Some(part)) => acc.extend_from_slice(&part),
+            _ => *acc = None,
         }
     }
-    assert_eq!(combined.len(), n, "score ranges must tile every node once");
-    merge.apply(Scores {
-        combined,
-        structural,
-        contextual,
-    })
+    parts
+        .into_iter()
+        .reduce(|mut acc, part| {
+            acc.combined.extend_from_slice(&part.combined);
+            extend(&mut acc.structural, part.structural);
+            extend(&mut acc.contextual, part.contextual);
+            acc
+        })
+        .unwrap_or(Scores {
+            combined: Vec::new(),
+            structural: Some(Vec::new()),
+            contextual: Some(Vec::new()),
+        })
 }
 
 /// The bit-identical small-graph fast path of the store-backed detector
@@ -289,84 +323,6 @@ pub fn full_graph_view<'a>(
         Some(g) => Cow::Borrowed(g),
         None => Cow::Owned(store.materialize()),
     })
-}
-
-/// Concatenate per-batch seed scores (batches tile the node set in order)
-/// into one full-length [`Scores`]. Components survive only when every
-/// batch produced them.
-pub fn assemble_batch_scores(n: usize, parts: Vec<(usize, Scores)>) -> Scores {
-    let mut combined = Vec::with_capacity(n);
-    let mut structural = Some(Vec::with_capacity(n));
-    let mut contextual = Some(Vec::with_capacity(n));
-    for (num_seeds, s) in parts {
-        combined.extend_from_slice(&s.combined[..num_seeds]);
-        match (&mut structural, &s.structural) {
-            (Some(acc), Some(part)) => acc.extend_from_slice(&part[..num_seeds]),
-            _ => structural = None,
-        }
-        match (&mut contextual, &s.contextual) {
-            (Some(acc), Some(part)) => acc.extend_from_slice(&part[..num_seeds]),
-            _ => contextual = None,
-        }
-    }
-    assert_eq!(combined.len(), n, "score batches must tile every node once");
-    Scores {
-        combined,
-        structural,
-        contextual,
-    }
-}
-
-/// Store-backed scoring for *transductive* detectors (Radar, AnomalyDAE):
-/// their `score` asserts the graph is the one they were fitted on, so the
-/// generic batched path (score a subgraph with the globally-fitted model)
-/// cannot apply. Below the threshold this delegates to the ordinary
-/// transductive `score`; above it, each sampled batch neighbourhood is
-/// treated as its own small transductive problem — a fresh clone of the
-/// detector is fitted and scored on the batch subgraph and only the seed
-/// rows are kept. Batches run through [`score_sampled_batches`], so the
-/// refit path parallelises and prefetches like the generic one.
-pub fn refit_score_store<D: OutlierDetector + Clone>(
-    det: &D,
-    store: &dyn GraphStore,
-    cfg: &SamplingConfig,
-) -> Scores {
-    if let Some(g) = full_graph_view(store, cfg) {
-        return det.score(&g);
-    }
-    let parts = score_sampled_batches(store, cfg, &|batch| {
-        let mut local = det.clone();
-        local.fit_score(&batch.graph)
-    });
-    assemble_batch_scores(store.num_nodes(), parts)
-}
-
-/// Range variant of [`refit_score_store`] for the transductive detectors:
-/// each batch in the range is refitted and scored independently (exactly
-/// the per-batch work of the full pass), so the concatenation over ranges
-/// is byte-identical to single-process output.
-pub fn refit_score_store_range<D: OutlierDetector + Clone>(
-    det: &D,
-    store: &dyn GraphStore,
-    cfg: &SamplingConfig,
-    lo: u32,
-    hi: u32,
-) -> RangeScores {
-    if let Some(g) = full_graph_view(store, cfg) {
-        return RangeScores {
-            scores: det.score(&g).slice_range(lo as usize, hi as usize),
-            merge: ScoreMerge::Concat,
-        };
-    }
-    let batches = range_score_batches(store.num_nodes(), cfg, lo, hi);
-    let parts = score_sampled_batch_range(store, cfg, batches, &|batch| {
-        let mut local = det.clone();
-        local.fit_score(&batch.graph)
-    });
-    RangeScores {
-        scores: assemble_batch_scores((hi - lo) as usize, parts),
-        merge: ScoreMerge::Concat,
-    }
 }
 
 /// The score-batch indices that tile exactly the node range `[lo, hi)`.
@@ -415,8 +371,13 @@ impl Drop for StopGuard<'_> {
     }
 }
 
-/// Score every sampled batch with `score_one`, returning
-/// `(num_seeds, seed-truncated scores)` in batch order.
+/// Score the sampled batches that tile the node range `[lo, hi)` (see
+/// [`range_score_batches`]) with `score_one`, keep each batch's seed rows
+/// and concatenate them in order — the sampled-path body of
+/// [`OutlierDetector::score_channels`]. Batch `b` always means *global*
+/// batch `b` (seeds `[b * batch_size, ..)`, RNG stream keyed on
+/// `(cfg.seed, b)`), so a shard scoring its slice of batches produces
+/// bit-identical rows to the same batches of a full single-process pass.
 ///
 /// When the store supports shared access ([`GraphStore::as_shared`]) and
 /// the config asks for concurrency (`score_threads() > 1` or `prefetch`),
@@ -429,41 +390,29 @@ impl Drop for StopGuard<'_> {
 /// With `cfg.prefetch`, a background thread walks one batch wave ahead of
 /// compute, paging the next batches' edge/attribute blocks into the
 /// store's shared cache so compute threads find them resident.
-pub fn score_sampled_batches(
+pub fn score_sampled_range(
     store: &dyn GraphStore,
     cfg: &SamplingConfig,
+    lo: u32,
+    hi: u32,
     score_one: &(dyn Fn(&SampledBatch) -> Scores + Sync),
-) -> Vec<(usize, Scores)> {
-    let num_batches = NeighborSampler::new(store, *cfg).num_score_batches();
-    score_sampled_batch_range(store, cfg, 0..num_batches, score_one)
-}
-
-/// [`score_sampled_batches`] restricted to a contiguous batch-index range —
-/// the per-shard building block of distributed scoring. Batch `b` still
-/// means *global* batch `b` (seeds `[b * batch_size, ..)`, RNG stream keyed
-/// on `(cfg.seed, b)`), so a shard scoring its slice of batches produces
-/// bit-identical results to the same batches of a full single-process pass.
-pub fn score_sampled_batch_range(
-    store: &dyn GraphStore,
-    cfg: &SamplingConfig,
-    batches: std::ops::Range<usize>,
-    score_one: &(dyn Fn(&SampledBatch) -> Scores + Sync),
-) -> Vec<(usize, Scores)> {
+) -> Scores {
+    let batches = range_score_batches(store.num_nodes(), cfg, lo, hi);
     let threads = cfg.score_threads();
     if threads > 1 || cfg.prefetch {
         if let Some(shared) = store.as_shared() {
-            return score_batches_parallel(shared, cfg, batches, threads, score_one);
+            return concat_scores(score_batches_parallel(
+                shared, cfg, batches, threads, score_one,
+            ));
         }
     }
     let sampler = NeighborSampler::new(store, *cfg);
-    batches
-        .map(|b| {
-            let batch = sampler.score_batch(b);
-            let mut s = score_one(&batch);
-            s.truncate_to(batch.num_seeds);
-            (batch.num_seeds, s)
-        })
-        .collect()
+    concat_scores(batches.map(|b| {
+        let batch = sampler.score_batch(b);
+        let mut s = score_one(&batch);
+        s.truncate_to(batch.num_seeds);
+        s
+    }))
 }
 
 fn score_batches_parallel(
@@ -472,10 +421,10 @@ fn score_batches_parallel(
     batches: std::ops::Range<usize>,
     threads: usize,
     score_one: &(dyn Fn(&SampledBatch) -> Scores + Sync),
-) -> Vec<(usize, Scores)> {
+) -> Vec<Scores> {
     let first = batches.start;
     let num_batches = batches.len();
-    let slots: Vec<OnceLock<(usize, Scores)>> = (0..num_batches).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<Scores>> = (0..num_batches).map(|_| OnceLock::new()).collect();
     let done = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let n = store.num_nodes();
@@ -518,7 +467,7 @@ fn score_batches_parallel(
             let batch = sampler.score_batch(b);
             let mut s = score_one(&batch);
             s.truncate_to(batch.num_seeds);
-            let set = slots[rel].set((batch.num_seeds, s));
+            let set = slots[rel].set(s);
             assert!(set.is_ok(), "batch {b} dispatched twice");
             done.fetch_add(1, Ordering::Relaxed);
         });
@@ -595,49 +544,42 @@ pub trait OutlierDetector: Send + Sync {
         }
     }
 
-    /// Score every node against any [`GraphStore`] backend.
+    /// Raw score channels of the rows `[lo, hi)` of a store above the
+    /// sampling threshold — the one place a detector says how it scores a
+    /// store. [`OutlierDetector::score_store_range`] and
+    /// [`OutlierDetector::score_store`] call it and then concatenate and
+    /// recombine under [`merge_rule`], so `combined` is final only under
+    /// [`ScoreMerge::Concat`].
     ///
-    /// Below the threshold this is *exactly* [`OutlierDetector::score`] on
-    /// the full graph. Above it, nodes are scored in contiguous sampled
-    /// batches — each batch is the induced subgraph around
-    /// `cfg.batch_size` seed nodes, scored with the detector's ordinary
-    /// path, keeping only the seed rows. Batches run through
-    /// [`score_sampled_batches`], which parallelises them across the
-    /// worker pool (and overlaps I/O) when `cfg` asks for it, without
-    /// changing a single score bit. Scores that depend on global
-    /// normalisation are approximate under batching; detectors needing
-    /// exact global combination (VGOD, DegNorm) override this to combine
-    /// across the concatenated components instead.
-    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        if let Some(g) = full_graph_view(store, cfg) {
-            return self.score(&g);
-        }
-        let parts = score_sampled_batches(store, cfg, &|batch| self.score(&batch.graph));
-        assemble_batch_scores(store.num_nodes(), parts)
-    }
-
-    /// Convenience: [`OutlierDetector::fit_store`] then
-    /// [`OutlierDetector::score_store`] on the same store.
-    fn fit_score_store(&mut self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        self.fit_store(store, cfg);
-        self.score_store(store, cfg)
+    /// The default scores the sampled batches covering the range (which
+    /// must be batch-aligned, see [`range_score_batches`]): each batch is
+    /// the induced subgraph around `cfg.batch_size` seed nodes, scored with
+    /// the detector's ordinary path, keeping only the seed rows (see
+    /// [`score_sampled_range`]). Scores that depend on global
+    /// normalisation are approximate under batching; detectors needing an
+    /// exact global combination (VGOD, DegNorm) return raw channels and
+    /// declare the combination as their merge rule instead.
+    fn score_channels(
+        &self,
+        store: &dyn GraphStore,
+        cfg: &SamplingConfig,
+        lo: u32,
+        hi: u32,
+    ) -> Scores {
+        score_sampled_range(store, cfg, lo, hi, &|batch| self.score(&batch.graph))
     }
 
     /// Score only the contiguous node range `[lo, hi)` of the store — the
     /// per-shard half of distributed scoring. Returns the range's raw
-    /// score channels plus the [`ScoreMerge`] rule a coordinator applies
-    /// after concatenating all ranges in order; the merged result is
+    /// score channels plus the [`merge_rule`] a coordinator applies after
+    /// concatenating all ranges in order; the merged result is
     /// byte-identical to [`OutlierDetector::score_store`] on the whole
     /// store.
     ///
-    /// Below the sampling threshold the default runs the ordinary
-    /// full-graph pass and returns the requested rows. Above it, the range
-    /// must be batch-aligned (see [`range_score_batches`]) and the default
-    /// scores exactly the global sampled batches covering the range.
-    /// Detectors whose `score_store` globally recombines components
-    /// (VGOD, DegNorm) override this to emit raw components with the
-    /// matching non-`Concat` merge rule; streaming-exact detectors
-    /// override it to score just the range.
+    /// Below the sampling threshold this runs the ordinary full-graph
+    /// [`OutlierDetector::score`] and returns the requested rows; above it
+    /// calls [`OutlierDetector::score_channels`]. Detectors override
+    /// `score_channels`, not this.
     fn score_store_range(
         &self,
         store: &dyn GraphStore,
@@ -645,19 +587,23 @@ pub trait OutlierDetector: Send + Sync {
         lo: u32,
         hi: u32,
     ) -> RangeScores {
-        if let Some(g) = full_graph_view(store, cfg) {
-            return RangeScores {
-                scores: self.score(&g).slice_range(lo as usize, hi as usize),
-                merge: ScoreMerge::Concat,
-            };
-        }
-        let batches = range_score_batches(store.num_nodes(), cfg, lo, hi);
-        let parts =
-            score_sampled_batch_range(store, cfg, batches, &|batch| self.score(&batch.graph));
+        let scores = match full_graph_view(store, cfg) {
+            Some(g) => self.score(&g).slice_range(lo as usize, hi as usize),
+            None => self.score_channels(store, cfg, lo, hi),
+        };
         RangeScores {
-            scores: assemble_batch_scores((hi - lo) as usize, parts),
-            merge: ScoreMerge::Concat,
+            scores,
+            merge: merge_rule(self),
         }
+    }
+
+    /// Score every node against any [`GraphStore`] backend: the whole
+    /// store as one range, merged. Below the threshold this is exactly
+    /// [`OutlierDetector::score`] on the full graph. Detectors override
+    /// [`OutlierDetector::score_channels`], not this.
+    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
+        let n = store.num_nodes();
+        merge_range_scores(n, vec![self.score_store_range(store, cfg, 0, n as u32)])
     }
 
     /// How this detector's scores react to a local graph mutation — the

@@ -23,10 +23,9 @@ mod normalize;
 mod ranking;
 mod threshold;
 
-pub use delta::{apply_mutation_rescore, dirty_frontier, rescore_frontier, ScoreCache};
+pub use delta::{apply_mutation_rescore, rescore_frontier, ScoreCache};
 pub use detector::{
-    assemble_batch_scores, full_graph_view, merge_range_scores, range_score_batches,
-    refit_score_store, refit_score_store_range, score_sampled_batch_range, score_sampled_batches,
+    full_graph_view, merge_range_scores, merge_rule, range_score_batches, score_sampled_range,
     DeltaCapability, LayerState, LayeredDelta, OutlierDetector, RangeScores, ScoreMerge, Scores,
 };
 pub use metrics::{auc, auc_gap, auc_group_vs_normal, auc_subset};

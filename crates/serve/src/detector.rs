@@ -6,7 +6,7 @@ use vgod::{Arm, Vbm, Vgod};
 use vgod_baselines::{
     AnomalyDae, Cola, Conad, Deg, DegNorm, Dominant, Done, L2Norm, Radar, RandomDetector,
 };
-use vgod_eval::{DeltaCapability, LayerState, LayeredDelta, OutlierDetector, RangeScores, Scores};
+use vgod_eval::{DeltaCapability, LayerState, LayeredDelta, OutlierDetector, Scores};
 use vgod_graph::{AttributedGraph, GraphStore, SamplingConfig};
 
 /// Any detector the workspace can persist and serve.
@@ -146,18 +146,14 @@ impl OutlierDetector for AnyDetector {
         for_each_variant!(self, m => OutlierDetector::fit_store(m, store, cfg))
     }
 
-    fn score_store(&self, store: &dyn GraphStore, cfg: &SamplingConfig) -> Scores {
-        for_each_variant!(self, m => m.score_store(store, cfg))
-    }
-
-    fn score_store_range(
+    fn score_channels(
         &self,
         store: &dyn GraphStore,
         cfg: &SamplingConfig,
         lo: u32,
         hi: u32,
-    ) -> RangeScores {
-        for_each_variant!(self, m => m.score_store_range(store, cfg, lo, hi))
+    ) -> Scores {
+        for_each_variant!(self, m => m.score_channels(store, cfg, lo, hi))
     }
 
     fn delta_capability(&self) -> DeltaCapability {

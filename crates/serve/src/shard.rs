@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use vgod_eval::{merge_range_scores, OutlierDetector, RangeScores, ScoreMerge, Scores};
-use vgod_graph::{PartitionManifest, SamplingConfig, ShardStore, StoreOptions};
+use vgod_graph::{PartitionManifest, SamplingConfig, ShardMeta, ShardStore, StoreOptions};
 
 use crate::engine::{ReplyFn, ScoreError, ScoreReply, SubmitError};
 use crate::http::{self, read_request, write_response};
@@ -361,7 +361,7 @@ pub struct ShardSpec {
     /// The worker's bound address.
     pub addr: SocketAddr,
     /// Partition metadata for this shard (range, ghost/halo counters).
-    pub meta: vgod_graph::ShardMeta,
+    pub meta: ShardMeta,
 }
 
 /// Per-shard scatter counters, rendered into the coordinator's
@@ -749,9 +749,21 @@ fn scatter_gather(
             })
             .collect()
     });
-    let mut parts = Vec::with_capacity(gathered.len());
+    let mut parts: Vec<RangeScores> = Vec::with_capacity(gathered.len());
     let mut version = 0u64;
-    for result in gathered {
+    for (index, result) in gathered.into_iter().enumerate() {
+        // Ranges that disagree with the first would trip the merge's
+        // asserts and kill the merge thread: fail the request instead.
+        let result = result.and_then(|(loaded, range)| {
+            parts
+                .first()
+                .map_or(Ok(()), |first| agrees_with(&range, first))
+                .map(|()| (loaded, range))
+                .map_err(|e| ScoreError::ShardDown {
+                    shard: index,
+                    cause: format!("bad payload: {e}"),
+                })
+        });
         match result {
             Ok((loaded, range)) => {
                 version = loaded;
@@ -802,9 +814,11 @@ fn fetch_shard(
         stat.bytes_rx
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
         match status {
-            200 => {
-                parse_range_payload(&payload).map_err(|e| shard_down(format!("bad payload: {e}")))
-            }
+            200 => parse_range_payload(&payload)
+                .and_then(|(version, range)| {
+                    check_range_rows(&range, &spec.meta).map(|()| (version, range))
+                })
+                .map_err(|e| shard_down(format!("bad payload: {e}"))),
             404 | 409 => Err(parse_shard_lookup_error(&payload, status)),
             other => Err(shard_down(format!("shard answered {other}: {payload}"))),
         }
@@ -816,6 +830,46 @@ fn fetch_shard(
         stat.errors.fetch_add(1, Ordering::Relaxed);
     }
     result
+}
+
+/// A shard's range payload must hold exactly one row per owned node in
+/// every channel it carries, and carry both components when its merge rule
+/// recombines them.
+fn check_range_rows(range: &RangeScores, meta: &ShardMeta) -> Result<(), String> {
+    let rows = (meta.hi - meta.lo) as usize;
+    let s = &range.scores;
+    for (name, channel) in [
+        ("combined", Some(&s.combined)),
+        ("structural", s.structural.as_ref()),
+        ("contextual", s.contextual.as_ref()),
+    ] {
+        if let Some(len) = channel.map(Vec::len).filter(|&len| len != rows) {
+            return Err(format!("{name} has {len} rows, shard owns {rows}"));
+        }
+    }
+    if range.merge != ScoreMerge::Concat && (s.structural.is_none() || s.contextual.is_none()) {
+        return Err(format!(
+            "merge rule {} without both component channels",
+            range.merge.wire_name()
+        ));
+    }
+    Ok(())
+}
+
+/// Ranges of one scatter must share the merge rule and channel presence.
+fn agrees_with(range: &RangeScores, first: &RangeScores) -> Result<(), String> {
+    if range.merge != first.merge {
+        return Err(format!(
+            "merge rule {} disagrees with shard 0's {}",
+            range.merge.wire_name(),
+            first.merge.wire_name()
+        ));
+    }
+    let presence = |s: &Scores| (s.structural.is_some(), s.contextual.is_some());
+    if presence(&range.scores) != presence(&first.scores) {
+        return Err("component channels disagree with shard 0's".into());
+    }
+    Ok(())
 }
 
 fn parse_shard_lookup_error(payload: &str, status: u16) -> ScoreError {
@@ -910,6 +964,35 @@ mod tests {
         assert_eq!(parsed.scores.structural, range.scores.structural);
         assert_eq!(parsed.scores.contextual, None);
         assert_eq!(parsed.merge, range.merge);
+    }
+
+    #[test]
+    fn malformed_range_payloads_are_rejected() {
+        let meta = ShardMeta {
+            index: 1,
+            lo: 4,
+            hi: 6,
+            closure: 2,
+            ghosts: 0,
+            cross_edges: 0,
+            halo_bytes: 0,
+        };
+        let range = |merge, rows: usize, structural: bool| RangeScores {
+            scores: Scores {
+                combined: vec![0.5; rows],
+                structural: structural.then(|| vec![1.5; rows]),
+                contextual: Some(vec![2.5; rows]),
+            },
+            merge,
+        };
+        let good = range(ScoreMerge::MeanStd, 2, true);
+        assert!(check_range_rows(&good, &meta).is_ok());
+        assert!(check_range_rows(&range(ScoreMerge::MeanStd, 3, true), &meta).is_err());
+        assert!(check_range_rows(&range(ScoreMerge::MeanStd, 2, false), &meta).is_err());
+        assert!(check_range_rows(&range(ScoreMerge::Concat, 2, false), &meta).is_ok());
+        assert!(agrees_with(&good, &good).is_ok());
+        assert!(agrees_with(&range(ScoreMerge::SumToUnit, 2, true), &good).is_err());
+        assert!(agrees_with(&range(ScoreMerge::MeanStd, 2, false), &good).is_err());
     }
 
     #[test]
