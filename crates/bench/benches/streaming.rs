@@ -412,6 +412,7 @@ fn main() {
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     let mut f = std::fs::File::create(path).expect("create BENCH_stream.json");
-    f.write_all(out.as_bytes()).expect("write BENCH_stream.json");
+    f.write_all(out.as_bytes())
+        .expect("write BENCH_stream.json");
     println!("wrote {path}");
 }

@@ -17,18 +17,16 @@ use vgod_eval::{auc, average_precision, precision_at_k, recall_at_k, OutlierDete
 use vgod_graph::{
     adjusted_homophily, degree_stats, edge_homophily, load_graph, parse_mem_budget,
     partition_store, save_graph, seeded_rng, synth_store, AttributedGraph, CachePolicy,
-    FrozenGraph, GraphMutation, GraphStore, HaloManifest, OocStore, OverlayGraph,
-    PartitionConfig, PartitionManifest,
-    PartitionMode, SamplingConfig, StoreOptions, SynthStoreConfig, DEFAULT_ATTR_BLOCK_NODES,
-    DEFAULT_EDGE_BLOCK_ENTRIES,
+    FrozenGraph, GraphMutation, GraphStore, HaloManifest, OocStore, OverlayGraph, PartitionConfig,
+    PartitionManifest, PartitionMode, SamplingConfig, StoreOptions, SynthStoreConfig,
+    DEFAULT_ATTR_BLOCK_NODES, DEFAULT_EDGE_BLOCK_ENTRIES,
 };
 use vgod_inject::{
     inject_community_replacement, inject_contextual, inject_standard, inject_structural,
     ContextualParams, DistanceMetric, GroundTruth, OutlierKind, StructuralParams,
 };
 use vgod_serve::{
-    AnyDetector, OocServeConfig, RegistryConfig, ServeConfig, ShardSpec, StreamConfig,
-    WorkerConfig,
+    AnyDetector, OocServeConfig, RegistryConfig, ServeConfig, ShardSpec, StreamConfig, WorkerConfig,
 };
 
 use crate::args::Args;
@@ -894,7 +892,9 @@ pub fn serve(args: &Args) -> CmdResult {
         .map_err(|e| e.to_string())?;
     if args.has("streaming") {
         if args.get("shards").is_some() || args.has("out-of-core") {
-            return Err("--streaming cannot be combined with --shards or --out-of-core".to_string());
+            return Err(
+                "--streaming cannot be combined with --shards or --out-of-core".to_string(),
+            );
         }
         let compact_bytes = parse_mem_budget(args.get("compact-bytes").unwrap_or("4M"))?;
         let queue_capacity: usize = args
@@ -919,8 +919,7 @@ pub fn serve(args: &Args) -> CmdResult {
             println!("  {} v{} ({})", m.name, m.version, m.kind);
         }
         if let Some(path) = args.get("addr-file") {
-            std::fs::write(path, handle.addr().to_string())
-                .map_err(|e| format!("{path}: {e}"))?;
+            std::fs::write(path, handle.addr().to_string()).map_err(|e| format!("{path}: {e}"))?;
         }
         handle.join();
         println!("server stopped");
@@ -1076,16 +1075,13 @@ pub fn stream_gen(args: &Args) -> CmdResult {
         let effect = overlay.apply_batch(&ops)?;
         applied_total += effect.applied;
         let rendered: Vec<String> = ops.iter().map(mutation_json).collect();
-        writeln!(log, "{{\"ops\":[{}]}}", rendered.join(","))
-            .map_err(|e| format!("{out}: {e}"))?;
+        writeln!(log, "{{\"ops\":[{}]}}", rendered.join(",")).map_err(|e| format!("{out}: {e}"))?;
     }
     log.flush().map_err(|e| format!("{out}: {e}"))?;
 
     let final_g = overlay.materialize();
     save_graph(&final_g, final_path).map_err(|e| format!("{final_path}: {e}"))?;
-    println!(
-        "wrote {out}: {batches} batch(es) × {ops_per_batch} op(s), {applied_total} applied"
-    );
+    println!("wrote {out}: {batches} batch(es) × {ops_per_batch} op(s), {applied_total} applied");
     println!(
         "wrote {final_path}: {} nodes, {} edges after replay",
         final_g.num_nodes(),
@@ -1115,9 +1111,7 @@ pub fn stream_replay(args: &Args) -> CmdResult {
 
     let log_path = args.required("log").map_err(|e| e.to_string())?;
     let addr_str = args.required("addr").map_err(|e| e.to_string())?;
-    let addr: SocketAddr = addr_str
-        .parse()
-        .map_err(|e| format!("{addr_str}: {e}"))?;
+    let addr: SocketAddr = addr_str.parse().map_err(|e| format!("{addr_str}: {e}"))?;
 
     let reader = BufReader::new(File::open(log_path).map_err(|e| format!("{log_path}: {e}"))?);
     let started = Instant::now();
@@ -1168,9 +1162,8 @@ pub fn stream_replay(args: &Args) -> CmdResult {
         };
         println!("served {model} v{version}: {count} score(s)");
         if let Some(scores_out) = args.get("scores-out") {
-            let mut w = BufWriter::new(
-                File::create(scores_out).map_err(|e| format!("{scores_out}: {e}"))?,
-            );
+            let mut w =
+                BufWriter::new(File::create(scores_out).map_err(|e| format!("{scores_out}: {e}"))?);
             if !raw.is_empty() {
                 // Write the server's literal float tokens: no re-parse, no
                 // re-format, so the file is byte-identical to what

@@ -80,14 +80,16 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(2);
     };
-    let args = match Args::parse_with_switches(rest, &["out-of-core", "verbose", "prefetch", "streaming"]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args =
+        match Args::parse_with_switches(rest, &["out-of-core", "verbose", "prefetch", "streaming"])
+        {
+            Ok(a) => a,
+            Err(e) => {
+                eprintln!("error: {e}\n");
+                eprint!("{USAGE}");
+                std::process::exit(2);
+            }
+        };
     // Every input is a named flag; stray words are most likely typos.
     if let Some(stray) = args.positional().first() {
         eprintln!("error: unexpected argument {stray:?} (all inputs are --flag value pairs)\n");

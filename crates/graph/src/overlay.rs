@@ -352,10 +352,7 @@ impl OverlayGraph {
                 Vec::new()
             };
             self.overlay_bytes += ENTRY_OVERHEAD + 4 * neighbors.len();
-            RowOverlay {
-                neighbors,
-                version,
-            }
+            RowOverlay { neighbors, version }
         });
         over.version = version;
         &mut over.neighbors
@@ -446,7 +443,10 @@ impl OverlayGraph {
         if (u as usize) < self.num_nodes {
             Ok(())
         } else {
-            Err(format!("node {u} out of range (graph has {} nodes)", self.num_nodes))
+            Err(format!(
+                "node {u} out of range (graph has {} nodes)",
+                self.num_nodes
+            ))
         }
     }
 
@@ -592,7 +592,11 @@ impl OverlayGraph {
                 .iter()
                 .map(|(&u, r)| (u, r.neighbors.clone()))
                 .collect(),
-            attrs: self.attrs.iter().map(|(&u, a)| (u, a.row.clone())).collect(),
+            attrs: self
+                .attrs
+                .iter()
+                .map(|(&u, a)| (u, a.row.clone()))
+                .collect(),
             labels: self.labels.clone(),
             num_nodes: self.num_nodes,
             version: self.version,
@@ -715,7 +719,10 @@ pub fn k_hop_ball(store: &dyn GraphStore, seeds: &[u32], k: usize) -> Vec<u32> {
 /// # Panics
 /// Panics (in debug builds) if `nodes` is not strictly sorted.
 pub fn induced_store_subgraph(store: &dyn GraphStore, nodes: &[u32]) -> AttributedGraph {
-    debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must be sorted");
+    debug_assert!(
+        nodes.windows(2).all(|w| w[0] < w[1]),
+        "nodes must be sorted"
+    );
     let mut adj = Vec::with_capacity(nodes.len());
     let mut nbrs = Vec::new();
     for &u in nodes {
@@ -782,10 +789,14 @@ mod tests {
             },
             2 => GraphMutation::SetAttrs {
                 node: rng.gen_range(0..n),
-                attrs: (0..g.num_attrs()).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                attrs: (0..g.num_attrs())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect(),
             },
             3 => GraphMutation::AddNode {
-                attrs: (0..g.num_attrs()).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                attrs: (0..g.num_attrs())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect(),
                 label: None,
             },
             _ => GraphMutation::RemoveNode {
@@ -844,14 +855,15 @@ mod tests {
         let mut overlay = OverlayGraph::new(Arc::new(FrozenGraph::from_store(&mirror)));
         let mut rng = seeded_rng(9);
         for round in 0..20 {
-            let ops: Vec<GraphMutation> =
-                (0..5).map(|_| random_op(&mirror, &mut rng)).collect();
+            let ops: Vec<GraphMutation> = (0..5).map(|_| random_op(&mirror, &mut rng)).collect();
             // Apply op-by-op to the mirror so node counts stay in sync for
             // op generation inside the batch.
             for op in &ops {
                 mirror_apply(&mut mirror, op);
             }
-            overlay.apply_batch(&ops).unwrap_or_else(|e| panic!("round {round}: {e}"));
+            overlay
+                .apply_batch(&ops)
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
             assert_same(&overlay, &mirror);
         }
         assert!(overlay.overlay_bytes() > 0);

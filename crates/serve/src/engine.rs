@@ -694,9 +694,12 @@ fn score_group(
                 }
             };
             let selected = match &req.nodes {
-                Some(nodes) => {
-                    Arc::new(nodes.iter().map(|&u| scores[u as usize]).collect::<Vec<f32>>())
-                }
+                Some(nodes) => Arc::new(
+                    nodes
+                        .iter()
+                        .map(|&u| scores[u as usize])
+                        .collect::<Vec<f32>>(),
+                ),
                 None => scores,
             };
             Ok(ScoreReply {

@@ -699,9 +699,12 @@ fn score_scattered(
         }
     };
     let selected = match &req.nodes {
-        Some(nodes) => {
-            Arc::new(nodes.iter().map(|&u| combined[u as usize]).collect::<Vec<f32>>())
-        }
+        Some(nodes) => Arc::new(
+            nodes
+                .iter()
+                .map(|&u| combined[u as usize])
+                .collect::<Vec<f32>>(),
+        ),
         None => combined,
     };
     Ok(ScoreReply {

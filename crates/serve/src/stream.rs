@@ -36,7 +36,9 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use vgod_eval::{apply_mutation_rescore, DeltaCapability, OutlierDetector, ScoreCache};
-use vgod_graph::{load_graph, AttributedGraph, FrozenGraph, GraphMutation, GraphStore, OverlayGraph};
+use vgod_graph::{
+    load_graph, AttributedGraph, FrozenGraph, GraphMutation, GraphStore, OverlayGraph,
+};
 
 use crate::engine::{ReplyFn, ScoreError, ScoreReply, SubmitError};
 use crate::json::{escape, Json};
@@ -224,7 +226,8 @@ impl StreamEngine {
         // Worker ⇄ compactor: the worker ships (base, delta) when the
         // overlay outgrows the threshold; the compactor folds and returns
         // the fresh base with the delta's high-water version.
-        let (compact_tx, compact_rx) = mpsc::channel::<(Arc<FrozenGraph>, vgod_graph::OverlayDelta)>();
+        let (compact_tx, compact_rx) =
+            mpsc::channel::<(Arc<FrozenGraph>, vgod_graph::OverlayDelta)>();
         let (adopted_tx, adopted_rx) = mpsc::channel::<(Arc<FrozenGraph>, u64)>();
         let compactor = std::thread::Builder::new()
             .name("vgod-stream-compact".into())
@@ -272,16 +275,25 @@ impl StreamEngine {
         // Count the job before it can be dequeued: incrementing after a
         // successful try_send races the worker's decrement, wrapping the
         // gauge to u64::MAX.
-        self.shared.stream.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .stream
+            .queue_depth
+            .fetch_add(1, Ordering::Relaxed);
         match self.tx.try_send(job) {
             Ok(()) => Ok(()),
             Err(mpsc::TrySendError::Full(_)) => {
-                self.shared.stream.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                self.shared
+                    .stream
+                    .queue_depth
+                    .fetch_sub(1, Ordering::Relaxed);
                 self.shared.stream.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Overloaded)
             }
             Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.shared.stream.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                self.shared
+                    .stream
+                    .queue_depth
+                    .fetch_sub(1, Ordering::Relaxed);
                 Err(SubmitError::ShuttingDown)
             }
         }
@@ -363,7 +375,11 @@ impl StreamEngine {
                         num_nodes: snapshot.num_nodes,
                     });
                 }
-                Arc::new(ids.iter().map(|&u| entry.scores[u as usize]).collect::<Vec<f32>>())
+                Arc::new(
+                    ids.iter()
+                        .map(|&u| entry.scores[u as usize])
+                        .collect::<Vec<f32>>(),
+                )
             }
         };
         Ok(ScoreReply {
@@ -780,7 +796,9 @@ mod tests {
         let dir = tmp(&format!("{tag}_models"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        AnyDetector::Deg(Deg).save_file(&dir.join("deg.ckpt")).unwrap();
+        AnyDetector::Deg(Deg)
+            .save_file(&dir.join("deg.ckpt"))
+            .unwrap();
         AnyDetector::L2Norm(L2Norm)
             .save_file(&dir.join("l2norm.ckpt"))
             .unwrap();
@@ -896,8 +914,25 @@ mod tests {
         let metrics = engine.metrics_json();
         let v = Json::parse(&metrics).unwrap();
         let stream = v.get("stream").unwrap();
-        assert_eq!(stream.get("updates").unwrap().get("batches").unwrap().as_u64(), Some(2));
-        assert!(stream.get("rescore").unwrap().get("delta_nodes").unwrap().as_u64().unwrap() > 0);
+        assert_eq!(
+            stream
+                .get("updates")
+                .unwrap()
+                .get("batches")
+                .unwrap()
+                .as_u64(),
+            Some(2)
+        );
+        assert!(
+            stream
+                .get("rescore")
+                .unwrap()
+                .get("delta_nodes")
+                .unwrap()
+                .as_u64()
+                .unwrap()
+                > 0
+        );
 
         engine.shutdown();
         engine.join();

@@ -21,7 +21,10 @@ use vgod_serve::AnyDetector;
 
 fn base_graph() -> AttributedGraph {
     let mut rng = seeded_rng(17);
-    let mut g = community_graph(&CommunityGraphConfig::homogeneous(60, 3, 4.0, 0.9), &mut rng);
+    let mut g = community_graph(
+        &CommunityGraphConfig::homogeneous(60, 3, 4.0, 0.9),
+        &mut rng,
+    );
     let x = gaussian_mixture_attributes(g.labels().unwrap(), 6, 3.0, 0.5, &mut rng);
     g.set_attrs(x);
     g
