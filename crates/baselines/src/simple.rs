@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use vgod_autograd::persist;
-use vgod_eval::{DeltaCapability, OutlierDetector, ScoreMerge, Scores};
+use vgod_eval::{DeltaCapability, LayerState, LayeredDelta, OutlierDetector, ScoreMerge, Scores};
 use vgod_graph::{seeded_rng, AttributedGraph, GraphStore, SamplingConfig};
 
 /// Node degree as the outlier score (the structural leakage probe of
@@ -32,7 +32,7 @@ impl OutlierDetector for Deg {
     fn fit(&mut self, _g: &AttributedGraph) {}
 
     fn score(&self, g: &AttributedGraph) -> Scores {
-        Scores::combined_only(degrees(g))
+        Scores::combined_only(degrees(g, 0..g.num_nodes() as u32))
     }
 
     fn fit_store(&mut self, _store: &dyn GraphStore, _cfg: &SamplingConfig) {}
@@ -46,16 +46,25 @@ impl OutlierDetector for Deg {
     ) -> Scores {
         // Exact at any scale: degrees read straight off the store's (fully
         // resident) edge index, no sampling involved.
-        Scores::combined_only(store_degrees_range(store, lo, hi))
+        Scores::combined_only(degrees(store, lo..hi))
     }
 
     fn delta_capability(&self) -> DeltaCapability {
-        // degree(u) only reads u's adjacency row, but the 1-hop closure is
-        // needed so the induced subgraph reproduces the full-graph degree.
         DeltaCapability::Local {
-            hops: 1,
             merge: ScoreMerge::Concat,
         }
+    }
+
+    fn rescore_layered(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        _state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        rescore_touched(
+            touched,
+            Scores::combined_only(degrees(store, touched.iter().copied())),
+        )
     }
 }
 
@@ -103,11 +112,21 @@ impl OutlierDetector for L2Norm {
     }
 
     fn delta_capability(&self) -> DeltaCapability {
-        // Pure per-row attribute arithmetic: zero-hop receptive field.
         DeltaCapability::Local {
-            hops: 0,
             merge: ScoreMerge::Concat,
         }
+    }
+
+    fn rescore_layered(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        _state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        rescore_touched(
+            touched,
+            Scores::combined_only(touched_norms(store, touched)),
+        )
     }
 }
 
@@ -139,7 +158,7 @@ impl OutlierDetector for DegNorm {
     fn fit(&mut self, _g: &AttributedGraph) {}
 
     fn score(&self, g: &AttributedGraph) -> Scores {
-        Scores::from_components(degrees(g), l2_norms(g))
+        Scores::from_components(degrees(g, 0..g.num_nodes() as u32), l2_norms(g))
     }
 
     fn fit_store(&mut self, _store: &dyn GraphStore, _cfg: &SamplingConfig) {}
@@ -153,21 +172,32 @@ impl OutlierDetector for DegNorm {
     ) -> Scores {
         // Raw degree/L2 components of the range's own rows; the local
         // combined is a placeholder the global merge rule overwrites.
-        Scores::from_components(
-            store_degrees_range(store, lo, hi),
-            store_l2_norms_range(store, lo, hi),
-        )
+        Scores::from_components(degrees(store, lo..hi), store_l2_norms_range(store, lo, hi))
     }
 
     fn delta_capability(&self) -> DeltaCapability {
-        // Raw components are local (degree needs the 1-hop closure). Eq.
-        // 20's mean-std combination is a global normalisation, so it is the
-        // merge rule, applied once over the full-length channels — the
-        // ranking is not distorted by per-range statistics.
+        // Raw components are per-row. Eq. 20's mean-std combination is a
+        // global normalisation, so it is the merge rule, applied once over
+        // the full-length channels — the ranking is not distorted by
+        // per-range statistics.
         DeltaCapability::Local {
-            hops: 1,
             merge: ScoreMerge::MeanStd,
         }
+    }
+
+    fn rescore_layered(
+        &self,
+        store: &dyn GraphStore,
+        touched: &[u32],
+        _state: &mut Option<LayerState>,
+    ) -> Option<LayeredDelta> {
+        rescore_touched(
+            touched,
+            Scores::from_components(
+                degrees(store, touched.iter().copied()),
+                touched_norms(store, touched),
+            ),
+        )
     }
 }
 
@@ -243,28 +273,39 @@ impl OutlierDetector for RandomDetector {
     }
 }
 
-fn degrees(g: &AttributedGraph) -> Vec<f32> {
-    (0..g.num_nodes() as u32)
-        .map(|u| g.degree(u) as f32)
-        .collect()
+fn degrees<S: GraphStore + ?Sized>(store: &S, nodes: impl IntoIterator<Item = u32>) -> Vec<f32> {
+    nodes.into_iter().map(|u| store.degree(u) as f32).collect()
 }
 
 fn l2_norms(g: &AttributedGraph) -> Vec<f32> {
     g.attrs().row_norms().into_vec()
 }
 
-fn store_degrees_range(store: &dyn GraphStore, lo: u32, hi: u32) -> Vec<f32> {
-    (lo..hi).map(|u| store.degree(u) as f32).collect()
+fn store_l2_norms_range(store: &dyn GraphStore, lo: u32, hi: u32) -> Vec<f32> {
+    let mut out = Vec::with_capacity((hi - lo) as usize);
+    store.visit_attrs(lo, hi, &mut |_, row| {
+        out.push(row.iter().map(|v| v * v).sum::<f32>().sqrt())
+    });
+    out
 }
 
-fn store_l2_norms_range(store: &dyn GraphStore, lo: u32, hi: u32) -> Vec<f32> {
-    let mut row = vec![0.0f32; store.num_attrs()];
-    let mut out = Vec::with_capacity((hi - lo) as usize);
-    for u in lo..hi {
-        store.attr_row_into(u, &mut row);
-        out.push(row.iter().map(|v| v * v).sum::<f32>().sqrt());
-    }
-    out
+/// The leakage probes' delta rescore. Their channels are per-row
+/// functions of the store, a node's degree and its attribute norm, so a
+/// mutation batch moves exactly the `touched` rows, and no layer state is
+/// kept. `scores` holds those rows, computed with `score`'s arithmetic
+/// ([`degrees`], [`touched_norms`]).
+fn rescore_touched(touched: &[u32], scores: Scores) -> Option<LayeredDelta> {
+    Some(LayeredDelta {
+        rows: touched.to_vec(),
+        scores,
+        state_bytes: 0,
+    })
+}
+
+/// `row_norms`, the 8-lane `sum_sq` kernel `score` runs — not the scalar
+/// sum of [`store_l2_norms_range`], whose last bits can differ.
+fn touched_norms(store: &dyn GraphStore, touched: &[u32]) -> Vec<f32> {
+    store.gather_attrs(touched).row_norms().into_vec()
 }
 
 #[cfg(test)]
@@ -359,6 +400,56 @@ mod tests {
             L2Norm.score(&g).combined,
             L2Norm.score_store(&g, &dflt).combined
         );
+    }
+
+    #[test]
+    fn touched_rescore_matches_score_rows_bit_for_bit() {
+        // Wide real-valued rows, so the 8-lane `row_norms` sum order and
+        // a plain sequential sum would round differently.
+        let (mut g, _) = injected();
+        let mut rng = srng(4);
+        let x = Matrix::from_fn(g.num_nodes(), 24, |_, _| {
+            vgod_graph::standard_normal(&mut rng)
+        });
+        g.set_attrs(x);
+        let touched = [0u32, 7, 150, 399];
+        let own =
+            |v: Option<&Vec<f32>>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        let rows = |v: Option<&Vec<f32>>| {
+            v.map(|v| {
+                touched
+                    .iter()
+                    .map(|&u| v[u as usize].to_bits())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let dets: [&dyn OutlierDetector; 3] = [&Deg, &L2Norm, &DegNorm];
+        for det in dets {
+            let full = det.score(&g);
+            let delta = det.rescore_layered(&g, &touched, &mut None).unwrap();
+            let name = det.name();
+            assert_eq!(delta.rows, touched, "{name}");
+            assert_eq!(delta.state_bytes, 0, "{name}");
+            let (got, want) = (&delta.scores, &full);
+            assert_eq!(
+                own(got.structural.as_ref()),
+                rows(want.structural.as_ref()),
+                "{name}"
+            );
+            assert_eq!(
+                own(got.contextual.as_ref()),
+                rows(want.contextual.as_ref()),
+                "{name}"
+            );
+            if want.structural.is_none() {
+                // A Concat merge patches `combined` itself.
+                assert_eq!(
+                    own(Some(&got.combined)),
+                    rows(Some(&want.combined)),
+                    "{name}"
+                );
+            }
+        }
     }
 
     #[test]

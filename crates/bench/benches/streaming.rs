@@ -6,7 +6,7 @@
 //! 1. **Library A/B** — per local detector, apply updates to the overlay
 //!    and time (a) the delta path (`apply_mutation_rescore`: the
 //!    layer-wise rescore from cached activations for VBM and VGOD, the
-//!    k-hop closure rescore for the baselines, then the cache patch)
+//!    touched rows for the baselines, then the cache patch)
 //!    against (b) what a non-delta server would do (materialise the
 //!    mutated graph and run a full `score`). Every update asserts the
 //!    patched cache is **bit-identical** to the full rescore on every
@@ -36,7 +36,7 @@ use rand::Rng;
 use vgod::{Vbm, VbmConfig, Vgod, VgodConfig};
 use vgod_baselines::{Deg, DegNorm};
 use vgod_datasets::{replica, Dataset, Scale};
-use vgod_eval::{apply_mutation_rescore, DeltaCapability, OutlierDetector, ScoreCache, Scores};
+use vgod_eval::{apply_mutation_rescore, OutlierDetector, ScoreCache, Scores};
 use vgod_graph::{
     k_hop_ball, save_graph, seeded_rng, AttributedGraph, FrozenGraph, GraphMutation, GraphStore,
     OverlayGraph,
@@ -76,7 +76,6 @@ struct DeltaRun {
     ops_per_update: usize,
     fit_ms: f64,
     initial_score_ms: f64,
-    hops: usize,
     delta_us_median: u64,
     full_us_median: u64,
     speedup: f64,
@@ -145,9 +144,6 @@ fn delta_ab(
     ops_per_update: usize,
     layers: usize,
 ) -> DeltaRun {
-    let DeltaCapability::Local { hops, .. } = det.delta_capability() else {
-        panic!("{detector}: bench expects a local delta capability");
-    };
     // The startup pass of a streaming server: scores plus layer state.
     let t0 = Instant::now();
     let mut cache = ScoreCache::for_detector(det, g);
@@ -200,7 +196,6 @@ fn delta_ab(
         ops_per_update,
         fit_ms,
         initial_score_ms,
-        hops,
         delta_us_median: delta_med,
         full_us_median: full_med,
         speedup: full_med as f64 / (delta_med as f64).max(1.0),
@@ -308,7 +303,7 @@ fn main() {
     for run in &runs {
         eprintln!(
             "{} on {}: delta {} us vs full {} us median = {:.1}x \
-             (frontier median {}, layer rows {:?}, state {} B, {} hop(s))",
+             (frontier median {}, layer rows {:?}, state {} B)",
             run.detector,
             run.graph,
             run.delta_us_median,
@@ -316,8 +311,7 @@ fn main() {
             run.speedup,
             run.frontier_median,
             run.layer_rows_median,
-            run.state_bytes,
-            run.hops
+            run.state_bytes
         );
     }
 
@@ -383,7 +377,7 @@ fn main() {
         out.push_str(&format!(
             "    {{\"detector\": \"{}\", \"graph\": \"{}\", \"nodes\": {}, \
              \"ops_per_update\": {}, \"fit_ms\": {:.1}, \"initial_score_ms\": {:.1}, \
-             \"hops\": {}, \"delta_us_median\": {}, \"full_us_median\": {}, \
+             \"delta_us_median\": {}, \"full_us_median\": {}, \
              \"speedup\": {:.2}, \"frontier_median\": {}, \"state_bytes\": {}, \
              \"layer_rows_median\": [{}]}}{}\n",
             r.detector,
@@ -392,7 +386,6 @@ fn main() {
             r.ops_per_update,
             r.fit_ms,
             r.initial_score_ms,
-            r.hops,
             r.delta_us_median,
             r.full_us_median,
             r.speedup,

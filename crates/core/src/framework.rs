@@ -224,16 +224,10 @@ impl OutlierDetector for Vgod {
     }
 
     fn delta_capability(&self) -> DeltaCapability {
-        // Receptive field = the wider component: VBM is 1-hop, ARM is its
-        // GCN/GAT depth plus one ring for exact endpoint degrees. The
-        // global Eq. 19 combination is the merge rule over full-length
-        // channels, for store, sharded and streaming scoring alike.
-        let hops = match self.arm.delta_capability() {
-            DeltaCapability::Local { hops, .. } => hops.max(1),
-            _ => unreachable!("ARM is always local"),
-        };
+        // Both components are local. The global Eq. 19 combination is the
+        // merge rule over full-length channels, for store, sharded and
+        // streaming scoring alike.
         DeltaCapability::Local {
-            hops,
             merge: self.cfg.combine.into(),
         }
     }
@@ -310,7 +304,6 @@ impl OutlierDetector for Vbm {
         // Variance over direct neighbours' embeddings of their own
         // attributes (Eq. 14): strictly 1-hop, raw row sums.
         DeltaCapability::Local {
-            hops: 1,
             merge: ScoreMerge::Concat,
         }
     }
@@ -365,10 +358,9 @@ impl OutlierDetector for Arm {
     }
 
     fn delta_capability(&self) -> DeltaCapability {
-        // `layers` rounds of message passing, plus one ring so the GCN/GAT
-        // normalisation sees exact degrees for every closure endpoint.
+        // `layers` rounds of message passing: the rescore patches
+        // `B_layers(touched)`, a raw per-row reconstruction error.
         DeltaCapability::Local {
-            hops: self.config().layers + 1,
             merge: ScoreMerge::Concat,
         }
     }

@@ -1,77 +1,40 @@
 //! Delta rescoring: after a graph mutation, recompute only the scores
 //! that can have changed.
 //!
-//! For a detector declaring [`DeltaCapability::Local`]`{ hops, merge }`,
-//! a mutation batch touching nodes `T` can only move the raw score
-//! channels of the ball `B_hops(T)`. Two execution strategies bring a
-//! [`ScoreCache`] up to date, both byte-identical to a full rescore:
+//! A detector declaring [`DeltaCapability::Local`] has one delta path,
+//! [`OutlierDetector::rescore_layered`]: given the nodes `T` a mutation
+//! batch touched, it recomputes exactly the rows whose raw channels can
+//! have moved and returns them.
 //!
-//! * **Layer-wise** ([`OutlierDetector::rescore_layered`], VBM, ARM and
-//!   VGOD): the cache owns the detector's per-layer activations. Layer `ℓ`
+//! * VBM, ARM and VGOD keep per-layer activations in the cache. Layer `ℓ`
 //!   recomputes only `dirty_ℓ = B_1(dirty_{ℓ−1} ∪ T)` (`dirty_0 = T`),
 //!   reading unchanged neighbour rows from the cached layer input, so a
 //!   batch costs its `B_L(T)` rows rather than the graph.
-//! * **Closure** (every other Local detector): frontier = `B_hops(T)`
-//!   ([`k_hop_ball`]); closure = `B_hops(frontier)`, whose exact
-//!   induced subgraph reproduces every frontier node's receptive field and
-//!   the degrees its kernels normalise by; the detector's ordinary `score`
-//!   runs on the closure and the frontier rows are kept
-//!   ([`rescore_frontier`]).
+//! * Deg, L2Norm and DegNorm are per-row functions of the store (a node's
+//!   degree and its attribute norm), so exactly the `T` rows move. They
+//!   keep no state and ignore it.
 //!
-//! Either way the rescored rows overwrite the cached full-length channels
-//! and the global merge rule is re-applied ([`ScoreCache::patch`]).
+//! The rescored rows overwrite the cached full-length channels and the
+//! global merge rule is re-applied ([`ScoreCache::patch`]).
 //!
 //! Byte-identity with a from-scratch full rescore rests on two invariants
 //! proven elsewhere in the workspace: per-row neighbour aggregation visits
-//! a row's neighbours in the full graph's order (sorted-id relabelling for
-//! closures, `vgod_gnn::rows` for layer-wise views), and every tensor
-//! kernel fixes its per-row accumulation order regardless of row count
-//! (the determinism contract in `vgod-tensor`). Non-`Concat` merges run
-//! [`ScoreMerge::apply`] — the combine the sharded scoring coordinator
-//! runs over concatenated channels — on the patched full-length channels.
+//! a row's neighbours in the full graph's order (`vgod_gnn::rows`), and
+//! every tensor kernel fixes its per-row accumulation order regardless of
+//! row count (the determinism contract in `vgod-tensor`). Non-`Concat`
+//! merges run [`ScoreMerge::apply`] — the combine the sharded scoring
+//! coordinator runs over concatenated channels — on the patched
+//! full-length channels.
+//!
+//! `FullRescore` and `Refit` detectors have no delta path: the streaming
+//! engine rescores or refits them on the materialised mutated graph and
+//! swaps the result in with [`ScoreCache::replace`].
+//!
+//! [`DeltaCapability::Local`]: crate::DeltaCapability::Local
 
-use vgod_graph::{induced_store_subgraph, k_hop_ball, GraphStore};
+use vgod_graph::{AttributedGraph, GraphStore};
 
-use vgod_graph::AttributedGraph;
-
-use crate::detector::{
-    merge_rule, DeltaCapability, LayerState, OutlierDetector, ScoreMerge, Scores,
-};
-
-/// Rescore a frontier exactly: extract the closure `B_hops(frontier)` as a
-/// sorted-id induced subgraph, run the detector's ordinary full-graph
-/// `score` on it, and return the frontier rows of every channel (rows
-/// aligned with `frontier`, which must be sorted).
-///
-/// The returned `combined` is subgraph-local and only meaningful when the
-/// detector's merge rule is [`ScoreMerge::Concat`]; for global rules the
-/// caller patches the raw channels and recombines ([`ScoreCache::patch`]
-/// does both).
-pub fn rescore_frontier(
-    det: &dyn OutlierDetector,
-    store: &dyn GraphStore,
-    frontier: &[u32],
-    hops: usize,
-) -> Scores {
-    let closure = k_hop_ball(store, frontier, hops);
-    let sub = induced_store_subgraph(store, &closure);
-    let scores = det.score(&sub);
-    // frontier ⊆ closure, both sorted: one merge scan selects the rows.
-    let mut rows = Vec::with_capacity(frontier.len());
-    let mut pos = 0usize;
-    for &u in frontier {
-        while closure[pos] != u {
-            pos += 1;
-        }
-        rows.push(pos);
-    }
-    let select = |v: &Vec<f32>| -> Vec<f32> { rows.iter().map(|&i| v[i]).collect() };
-    Scores {
-        combined: select(&scores.combined),
-        structural: scores.structural.as_ref().map(select),
-        contextual: scores.contextual.as_ref().map(select),
-    }
-}
+use crate::detector::{merge_rule, LayerState, OutlierDetector, ScoreMerge, Scores};
 
 /// A model's served scores: full-length raw channels plus the merge rule
 /// that combines them, and — for detectors with a layer-wise incremental
@@ -97,8 +60,8 @@ impl std::fmt::Debug for ScoreCache {
 }
 
 impl ScoreCache {
-    /// Cache a full scoring pass. For a [`DeltaCapability::Local`]
-    /// detector pass its declared merge rule; for full-rescore models pass
+    /// Cache a full scoring pass. For a `Local` detector pass its
+    /// declared merge rule; for full-rescore models pass
     /// [`ScoreMerge::Concat`] (the combined vector is replaced wholesale).
     /// The cache holds no layer state: a detector with a layer-wise path
     /// builds it with one full pass on the first mutation batch.
@@ -166,9 +129,9 @@ impl ScoreCache {
         }
     }
 
-    /// Overwrite the frontier rows with freshly rescored channels and
-    /// re-apply the merge rule. `delta` rows align with `frontier`
-    /// (as returned by [`rescore_frontier`]).
+    /// Overwrite the rescored rows with fresh channels and re-apply the
+    /// merge rule. `delta` rows align with `frontier` (as returned by
+    /// [`OutlierDetector::rescore_layered`]).
     ///
     /// # Panics
     /// Panics if a frontier id is out of range, `delta` lacks a channel the
@@ -205,65 +168,68 @@ fn patch_channel(channel: &mut Option<Vec<f32>>, delta: &Option<Vec<f32>>, front
     }
 }
 
-/// One delta-rescoring step for any capability: given the post-mutation
-/// store, the touched set, and the model's cache, bring the cache up to
-/// date. Returns the number of rescored rows (0 for full/refit passes,
-/// which invalidate everything). Local detectors with a layer-wise path
-/// ([`OutlierDetector::rescore_layered`]) update their cached activations;
-/// the rest rescore the closure of their frontier. This is the one delta
-/// entry point the streaming engine calls per applied batch.
+/// One delta-rescoring step for a `Local` detector: given the
+/// post-mutation store, the touched set and the model's cache, patch the
+/// rows [`OutlierDetector::rescore_layered`] recomputes. Returns
+/// the number of rescored rows. This is the one delta entry point the
+/// streaming engine calls per applied batch; it handles `FullRescore` and
+/// `Refit` models itself.
+///
+/// # Panics
+/// Panics if the detector has no `rescore_layered` override, which a
+/// `Local` declaration requires.
 pub fn apply_mutation_rescore(
     det: &dyn OutlierDetector,
     store: &dyn GraphStore,
     touched: &[u32],
     cache: &mut ScoreCache,
 ) -> usize {
-    match det.delta_capability() {
-        DeltaCapability::Local { hops, .. } => {
-            cache.grow(store.num_nodes());
-            if touched.is_empty() {
-                return 0; // a local score moves only near a touched node
-            }
-            let (rows, delta) = match det.rescore_layered(store, touched, &mut cache.state) {
-                Some(layered) => {
-                    cache.state_bytes = layered.state_bytes;
-                    (layered.rows, layered.scores)
-                }
-                None => {
-                    // Every node whose raw channels can have changed: the
-                    // ball `B_hops(touched)` on the post-mutation graph.
-                    // `touched` already holds the former neighbours of
-                    // removed edges and tombstoned nodes (the overlay's
-                    // `BatchEffect` guarantees this).
-                    let frontier = k_hop_ball(store, touched, hops);
-                    let delta = rescore_frontier(det, store, &frontier, hops);
-                    (frontier, delta)
-                }
-            };
-            cache.patch(&rows, &delta);
-            rows.len()
-        }
-        DeltaCapability::FullRescore | DeltaCapability::Refit => {
-            // Refit is the caller's responsibility (needs `&mut` detector);
-            // here both fall back to a full pass on the mutated graph.
-            let g = store.materialize();
-            cache.replace(det.score(&g));
-            0
-        }
+    cache.grow(store.num_nodes());
+    if touched.is_empty() {
+        return 0; // a local score moves only near a touched node
     }
+    let delta = det
+        .rescore_layered(store, touched, &mut cache.state)
+        .unwrap_or_else(|| panic!("{} has no row-exact delta rescore", det.name()));
+    cache.state_bytes = delta.state_bytes;
+    cache.patch(&delta.rows, &delta.scores);
+    delta.rows.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgod_graph::{seeded_rng, AttributedGraph};
+    use crate::{DeltaCapability, LayeredDelta};
+    use vgod_graph::{k_hop_ball, seeded_rng, AttributedGraph};
     use vgod_tensor::Matrix;
 
-    /// A 1-hop toy detector: score = degree + mean of neighbour attr[0],
-    /// raw channels combined with mean-std — exercises both the closure
-    /// extraction and the global recombination.
+    /// A 1-hop toy detector: structural = degree, contextual = mean of the
+    /// neighbours' attr[0], combined with mean-std. A batch moves the rows
+    /// of `B_1(touched)`, so the patch exercises both the row overwrite
+    /// and the global recombination.
     #[derive(Clone)]
     struct NeighborMean;
+
+    fn neighbor_mean_channels(store: &dyn GraphStore, rows: &[u32]) -> Scores {
+        let mut nbrs = Vec::new();
+        let mut attrs = vec![0.0; store.num_attrs()];
+        let mut contextual = Vec::with_capacity(rows.len());
+        for &u in rows {
+            store.neighbors_into(u, &mut nbrs);
+            let mut sum = 0.0f32;
+            for &v in &nbrs {
+                store.attr_row_into(v, &mut attrs);
+                sum += attrs[0];
+            }
+            contextual.push(if nbrs.is_empty() {
+                0.0
+            } else {
+                sum / nbrs.len() as f32
+            });
+        }
+        let structural = rows.iter().map(|&u| store.degree(u) as f32).collect();
+        Scores::from_components(structural, contextual)
+    }
 
     impl OutlierDetector for NeighborMean {
         fn name(&self) -> &'static str {
@@ -271,26 +237,26 @@ mod tests {
         }
         fn fit(&mut self, _g: &AttributedGraph) {}
         fn score(&self, g: &AttributedGraph) -> Scores {
-            let structural: Vec<f32> = (0..g.num_nodes() as u32)
-                .map(|u| g.degree(u) as f32)
-                .collect();
-            let contextual: Vec<f32> = (0..g.num_nodes() as u32)
-                .map(|u| {
-                    let nbrs = g.neighbors(u);
-                    if nbrs.is_empty() {
-                        return 0.0;
-                    }
-                    let sum: f32 = nbrs.iter().map(|&v| g.attrs().row(v as usize)[0]).sum();
-                    sum / nbrs.len() as f32
-                })
-                .collect();
-            Scores::from_components(structural, contextual)
+            let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
+            neighbor_mean_channels(g, &all)
         }
         fn delta_capability(&self) -> DeltaCapability {
             DeltaCapability::Local {
-                hops: 1,
                 merge: ScoreMerge::MeanStd,
             }
+        }
+        fn rescore_layered(
+            &self,
+            store: &dyn GraphStore,
+            touched: &[u32],
+            _state: &mut Option<LayerState>,
+        ) -> Option<LayeredDelta> {
+            let rows = k_hop_ball(store, touched, 1);
+            Some(LayeredDelta {
+                scores: neighbor_mean_channels(store, &rows),
+                rows,
+                state_bytes: 0,
+            })
         }
     }
 
@@ -316,10 +282,8 @@ mod tests {
     fn patched_cache_is_byte_identical_to_full_rescore() {
         let det = NeighborMean;
         let mut g = random_graph(120, 3);
-        let DeltaCapability::Local { merge, .. } = det.delta_capability() else {
-            unreachable!()
-        };
-        let mut cache = ScoreCache::new(det.score(&g), merge);
+        let mut cache = ScoreCache::new(det.score(&g), merge_rule(&det));
+        assert_eq!(apply_mutation_rescore(&det, &g, &[], &mut cache), 0);
 
         // Mutate: one edge in, one out, one attribute row.
         g.add_edge(7, 93);
@@ -332,9 +296,11 @@ mod tests {
             touched.extend_from_slice(&[20, v]);
         }
         g.attrs_mut().row_mut(3).copy_from_slice(&[9.0, -9.0]);
+        touched.sort_unstable();
+        touched.dedup();
 
-        let frontier_size = apply_mutation_rescore(&det, &g, &touched, &mut cache);
-        assert!(frontier_size > 0);
+        let rows = apply_mutation_rescore(&det, &g, &touched, &mut cache);
+        assert_eq!(rows, k_hop_ball(&g, &touched, 1).len());
         let full = det.score(&g);
         assert_eq!(cache.combined(), full.combined.as_slice());
         assert_eq!(
@@ -360,31 +326,25 @@ mod tests {
     }
 
     #[test]
-    fn full_rescore_capability_replaces_the_cache() {
-        #[derive(Clone)]
-        struct Global;
-        impl OutlierDetector for Global {
+    #[should_panic(expected = "NoDeltaPath has no row-exact delta rescore")]
+    fn local_detector_without_a_delta_rescore_panics() {
+        struct NoDeltaPath;
+        impl OutlierDetector for NoDeltaPath {
             fn name(&self) -> &'static str {
-                "Global"
+                "NoDeltaPath"
             }
             fn fit(&mut self, _g: &AttributedGraph) {}
             fn score(&self, g: &AttributedGraph) -> Scores {
-                // Globally normalised: every score shifts with the sum.
-                let total: f32 = (0..g.num_nodes() as u32).map(|u| g.degree(u) as f32).sum();
-                Scores::combined_only(
-                    (0..g.num_nodes() as u32)
-                        .map(|u| g.degree(u) as f32 / total.max(1.0))
-                        .collect(),
-                )
+                Scores::combined_only(vec![0.0; g.num_nodes()])
+            }
+            fn delta_capability(&self) -> DeltaCapability {
+                DeltaCapability::Local {
+                    merge: ScoreMerge::Concat,
+                }
             }
         }
-        let mut g = random_graph(40, 6);
-        let det = Global;
-        assert_eq!(det.delta_capability(), DeltaCapability::FullRescore);
-        let mut cache = ScoreCache::new(det.score(&g), ScoreMerge::Concat);
-        g.add_edge(0, 39);
-        let frontier = apply_mutation_rescore(&det, &g, &[0, 39], &mut cache);
-        assert_eq!(frontier, 0);
-        assert_eq!(cache.combined(), det.score(&g).combined.as_slice());
+        let g = random_graph(10, 7);
+        let mut cache = ScoreCache::new(NoDeltaPath.score(&g), ScoreMerge::Concat);
+        apply_mutation_rescore(&NoDeltaPath, &g, &[0, 1], &mut cache);
     }
 }

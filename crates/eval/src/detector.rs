@@ -187,22 +187,20 @@ impl ScoreMerge {
 }
 
 /// How a detector's scores respond to a graph mutation — whether the
-/// dirty frontier can be rescored in isolation, declared per detector via
+/// dirty rows can be rescored in isolation, declared per detector via
 /// [`OutlierDetector::delta_capability`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DeltaCapability {
-    /// Per-node raw score channels are a pure function of the node's
-    /// `hops`-hop neighbourhood. After a mutation, only the ball
-    /// `B_hops(touched)` can change; rescoring the exact closure subgraph
-    /// around that frontier and re-applying `merge` over the patched
-    /// full-length channels is byte-identical to a full rescore.
-    /// `merge` is [`ScoreMerge::Concat`] when the combined score itself is
-    /// local; a non-`Concat` rule means the channels are local but the
-    /// combination is global (mean-std, sum-to-unit, weighted) and must be
-    /// recomputed over the full-length channels after patching.
+    /// Per-node raw score channels depend only on a bounded neighbourhood,
+    /// and the detector recomputes exactly the rows a mutation batch can
+    /// move with [`OutlierDetector::rescore_layered`]. Patching those rows
+    /// into the cached full-length channels and re-applying `merge` is
+    /// byte-identical to a full rescore. `merge` is [`ScoreMerge::Concat`]
+    /// when the combined score itself is local; a non-`Concat` rule means
+    /// the channels are local but the combination is global (mean-std,
+    /// sum-to-unit, weighted) and must be recomputed over the full-length
+    /// channels after patching.
     Local {
-        /// Receptive-field radius in hops.
-        hops: usize,
         /// Global recombination applied over the patched channels.
         merge: ScoreMerge,
     },
@@ -627,16 +625,21 @@ pub trait OutlierDetector: Send + Sync {
         (self.score(g), None)
     }
 
-    /// Layer-wise incremental rescoring for a
+    /// Row-exact incremental rescoring, the delta path of every
     /// [`DeltaCapability::Local`] detector: after a batch touching
     /// `touched` (sorted) has been applied to `store`, recompute only the
-    /// rows each layer can change, from the cached activations in `state`,
-    /// and return the rows whose channels moved. The result patches a
-    /// cache to exactly a full rescore's bytes. A `None` state is built
-    /// with one full pass, which returns every row.
+    /// rows whose channels can have moved and return them. The result
+    /// patches a cache to exactly a full rescore's bytes.
     ///
-    /// The default returns `None`: the detector has no layer-wise path and
-    /// the closure rescore ([`crate::rescore_frontier`]) runs instead.
+    /// Layered detectors (VBM, ARM, VGOD) recompute each layer's dirty
+    /// rows from the cached activations in `state`; a `None` state is
+    /// built with one full pass, which returns every row. Stateless
+    /// detectors whose channels are per-row functions of the store (Deg,
+    /// L2Norm, DegNorm) ignore `state` and return the `touched` rows.
+    ///
+    /// The default returns `None`, which is only correct for detectors
+    /// that are not `Local`: [`crate::apply_mutation_rescore`] panics on
+    /// a `Local` detector without an override.
     fn rescore_layered(
         &self,
         _store: &dyn GraphStore,

@@ -23,7 +23,7 @@ mod normalize;
 mod ranking;
 mod threshold;
 
-pub use delta::{apply_mutation_rescore, rescore_frontier, ScoreCache};
+pub use delta::{apply_mutation_rescore, ScoreCache};
 pub use detector::{
     full_graph_view, merge_range_scores, merge_rule, range_score_batches, score_sampled_range,
     DeltaCapability, LayerState, LayeredDelta, OutlierDetector, RangeScores, ScoreMerge, Scores,

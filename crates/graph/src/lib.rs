@@ -37,8 +37,7 @@ pub use generate::{community_graph, CommunityGraphConfig};
 pub use graph::{AttributedGraph, ContextCache};
 pub use io::{load_graph, read_graph, save_graph, write_graph, GraphIoError};
 pub use overlay::{
-    induced_store_subgraph, k_hop_ball, BatchEffect, FrozenGraph, GraphMutation, OverlayDelta,
-    OverlayGraph,
+    k_hop_ball, BatchEffect, FrozenGraph, GraphMutation, OverlayDelta, OverlayGraph,
 };
 pub use partition::{
     closure_ghosts, count_cross_edges, partition_store, shard_ranges, HaloManifest,

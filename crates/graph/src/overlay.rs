@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::{AttributedGraph, GraphStore};
+use crate::GraphStore;
 use vgod_tensor::Matrix;
 
 /// Heap-accounting overhead charged per overlay entry (hash-map slot +
@@ -120,7 +120,9 @@ impl FrozenGraph {
             indptr.push(indices.len());
         });
         let mut x = Matrix::zeros(n, store.num_attrs());
-        store.visit_attrs(&mut |u, row| x.row_mut(u as usize).copy_from_slice(row));
+        store.visit_attrs(0, n as u32, &mut |u, row| {
+            x.row_mut(u as usize).copy_from_slice(row)
+        });
         FrozenGraph {
             indptr,
             indices,
@@ -239,8 +241,8 @@ impl GraphStore for FrozenGraph {
         }
     }
 
-    fn visit_attrs(&self, cb: &mut dyn FnMut(u32, &[f32])) {
-        for u in 0..self.num_nodes() as u32 {
+    fn visit_attrs(&self, lo: u32, hi: u32, cb: &mut dyn FnMut(u32, &[f32])) {
+        for u in lo..hi {
             cb(u, self.attr_row(u));
         }
     }
@@ -662,8 +664,8 @@ impl GraphStore for OverlayGraph {
         }
     }
 
-    fn visit_attrs(&self, cb: &mut dyn FnMut(u32, &[f32])) {
-        for u in 0..self.num_nodes as u32 {
+    fn visit_attrs(&self, lo: u32, hi: u32, cb: &mut dyn FnMut(u32, &[f32])) {
+        for u in lo..hi {
             cb(u, self.attr_row_of(u));
         }
     }
@@ -705,44 +707,10 @@ pub fn k_hop_ball(store: &dyn GraphStore, seeds: &[u32], k: usize) -> Vec<u32> {
     ball
 }
 
-/// The exact subgraph induced on `nodes` (sorted, unique): local id `i`
-/// maps to `nodes[i]`, every neighbour list is complete within the set,
-/// and — because both `nodes` and the store's neighbour lists are sorted —
-/// local adjacency preserves the relative order of the full graph. That
-/// ordering is what keeps per-row kernel accumulation (SpMM, GAT edge
-/// aggregation) bit-identical between a closure subgraph and the full
-/// graph, the invariant the delta rescoring path is built on. Labels are
-/// deliberately not carried: detectors never read them, and skipping the
-/// `O(n)` label materialisation keeps closure extraction proportional to
-/// the closure, not the graph.
-///
-/// # Panics
-/// Panics (in debug builds) if `nodes` is not strictly sorted.
-pub fn induced_store_subgraph(store: &dyn GraphStore, nodes: &[u32]) -> AttributedGraph {
-    debug_assert!(
-        nodes.windows(2).all(|w| w[0] < w[1]),
-        "nodes must be sorted"
-    );
-    let mut adj = Vec::with_capacity(nodes.len());
-    let mut nbrs = Vec::new();
-    for &u in nodes {
-        store.neighbors_into(u, &mut nbrs);
-        let mut row = Vec::new();
-        for &v in &nbrs {
-            if let Ok(local) = nodes.binary_search(&v) {
-                row.push(local as u32);
-            }
-        }
-        adj.push(row);
-    }
-    let x = store.gather_attrs(nodes);
-    AttributedGraph::from_sorted_adj(adj, x, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded_rng;
+    use crate::{seeded_rng, AttributedGraph};
     use rand::Rng;
 
     fn random_graph(n: usize, d: usize, seed: u64) -> AttributedGraph {
@@ -978,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn k_hop_ball_and_induced_subgraph_are_exact() {
+    fn k_hop_ball_is_exact() {
         let g = random_graph(80, 3, 5);
         // Hand-rolled BFS reference.
         let seeds = [3u32, 40u32];
@@ -994,15 +962,5 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(ball, expect, "k={k}");
         }
-
-        let ball = k_hop_ball(&g, &seeds, 2);
-        let sub = induced_store_subgraph(&g, &ball);
-        let reference = g.induced_subgraph(&ball);
-        assert_eq!(sub.num_nodes(), reference.num_nodes());
-        assert_eq!(sub.num_edges(), reference.num_edges());
-        for u in 0..sub.num_nodes() as u32 {
-            assert_eq!(sub.neighbors(u), reference.neighbors(u));
-        }
-        assert_eq!(sub.attrs().as_slice(), reference.attrs().as_slice());
     }
 }

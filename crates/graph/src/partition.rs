@@ -748,11 +748,26 @@ impl GraphStore for ShardStore {
         self.inner.visit_adjacency(cb);
     }
 
-    fn visit_attrs(&self, cb: &mut dyn FnMut(u32, &[f32])) {
-        if !self.full_copy {
-            self.sliced_only_panic("visit_attrs");
+    fn visit_attrs(&self, lo: u32, hi: u32, cb: &mut dyn FnMut(u32, &[f32])) {
+        if self.full_copy {
+            return self.inner.visit_attrs(lo, hi, cb);
         }
-        self.inner.visit_attrs(cb);
+        if lo >= hi {
+            return;
+        }
+        assert!(
+            self.meta.lo <= lo && hi <= self.meta.hi,
+            "visit_attrs({lo}, {hi}) reaches outside shard {}'s owned rows [{}, {})",
+            self.meta.index,
+            self.meta.lo,
+            self.meta.hi
+        );
+        // Owned rows sit contiguously in the slice, after the ghosts below.
+        let local_lo = self.local(lo);
+        self.inner
+            .visit_attrs(local_lo, local_lo + (hi - lo), &mut |u, row| {
+                cb(u - local_lo + lo, row)
+            });
     }
 
     fn labels_vec(&self) -> Option<Vec<u32>> {
@@ -900,6 +915,14 @@ mod tests {
                 shard.attr_row_into(u, &mut row_got);
                 assert_eq!(row_want, row_got, "attrs {u}");
             }
+            // A ranged sweep of the owned rows streams the same rows.
+            let mut swept = Vec::new();
+            shard.visit_attrs(meta.lo, meta.hi, &mut |u, row| {
+                store.attr_row_into(u, &mut row_want);
+                assert_eq!(row, &row_want[..], "swept attrs {u}");
+                swept.push(u);
+            });
+            assert_eq!(swept, (meta.lo..meta.hi).collect::<Vec<_>>());
         }
         std::fs::remove_dir_all(&dir).ok();
     }

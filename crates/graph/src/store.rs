@@ -246,8 +246,8 @@ pub trait GraphStore {
     /// Stream every adjacency row in node order: `cb(u, sorted_neighbors)`.
     fn visit_adjacency(&self, cb: &mut dyn FnMut(u32, &[u32]));
 
-    /// Stream every attribute row in node order: `cb(u, row)`.
-    fn visit_attrs(&self, cb: &mut dyn FnMut(u32, &[f32]));
+    /// Stream the attribute rows `lo..hi` in node order: `cb(u, row)`.
+    fn visit_attrs(&self, lo: u32, hi: u32, cb: &mut dyn FnMut(u32, &[f32]));
 
     /// Community labels as an owned vector, when the store carries them.
     fn labels_vec(&self) -> Option<Vec<u32>> {
@@ -295,7 +295,9 @@ pub trait GraphStore {
         let mut adj: Vec<Vec<u32>> = Vec::with_capacity(n);
         self.visit_adjacency(&mut |_, nbrs| adj.push(nbrs.to_vec()));
         let mut x = Matrix::zeros(n, self.num_attrs());
-        self.visit_attrs(&mut |u, row| x.row_mut(u as usize).copy_from_slice(row));
+        self.visit_attrs(0, n as u32, &mut |u, row| {
+            x.row_mut(u as usize).copy_from_slice(row)
+        });
         AttributedGraph::from_sorted_adj(adj, x, self.labels_vec())
     }
 }
@@ -336,9 +338,9 @@ impl GraphStore for AttributedGraph {
         }
     }
 
-    fn visit_attrs(&self, cb: &mut dyn FnMut(u32, &[f32])) {
-        for u in 0..self.num_nodes() {
-            cb(u as u32, self.attrs().row(u));
+    fn visit_attrs(&self, lo: u32, hi: u32, cb: &mut dyn FnMut(u32, &[f32])) {
+        for u in lo..hi {
+            cb(u, self.attrs().row(u as usize));
         }
     }
 
@@ -1127,23 +1129,32 @@ impl GraphStore for OocStore {
         }
     }
 
-    fn visit_attrs(&self, cb: &mut dyn FnMut(u32, &[f32])) {
+    fn visit_attrs(&self, lo: u32, hi: u32, cb: &mut dyn FnMut(u32, &[f32])) {
+        // Sequential streaming pass, bypassing the block cache like the
+        // adjacency sweep: one positioned read per attribute block the
+        // range overlaps, clipped to the range.
+        let (lo, hi) = (lo as usize, hi as usize);
+        assert!(
+            hi <= self.n,
+            "attribute range {lo}..{hi} past {} nodes",
+            self.n
+        );
         let mut buf: Vec<u8> = Vec::new();
-        let blocks = self.n.div_ceil(self.attr_block_nodes);
-        for b in 0..blocks {
-            let rows = self.attr_block_rows(b);
-            let bytes = rows * self.d * 4;
+        let mut u = lo;
+        while u < hi {
+            let stop = hi.min((u / self.attr_block_nodes + 1) * self.attr_block_nodes);
+            let bytes = (stop - u) * self.d * 4;
             buf.resize(bytes, 0);
-            let off = self.off_attrs + (b * self.attr_block_nodes * self.d * 4) as u64;
+            let off = self.off_attrs + (u * self.d * 4) as u64;
             self.file
                 .read_exact_at(&mut buf, off)
                 .expect("store read failed (attr sweep)");
             self.record_read(bytes);
             let floats = bytes_to_f32s(&buf);
-            for r in 0..rows {
-                let u = (b * self.attr_block_nodes + r) as u32;
-                cb(u, &floats[r * self.d..(r + 1) * self.d]);
+            for r in 0..stop - u {
+                cb((u + r) as u32, &floats[r * self.d..(r + 1) * self.d]);
             }
+            u = stop;
         }
     }
 
@@ -1545,6 +1556,28 @@ mod tests {
             stats.resident_bytes,
             store.budget()
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn ranged_attr_sweeps_read_exact_rows_past_the_cache() {
+        let g = small_graph(8);
+        let n = g.num_nodes() as u32;
+        let path = temp_path("sweep.gstore");
+        OocStore::create_from_graph(&g, &path, 8, 32).unwrap();
+        let store = OocStore::open(&path, 1 << 20).unwrap();
+        // Whole graph, block-aligned, inside one block, across a block
+        // boundary, the last row, and empty.
+        for (lo, hi) in [(0, n), (8, 24), (3, 5), (6, 19), (n - 1, n), (50, 50)] {
+            let mut seen = Vec::new();
+            store.visit_attrs(lo, hi, &mut |u, row| {
+                assert_eq!(row, g.attrs().row(u as usize), "row {u} of {lo}..{hi}");
+                seen.push(u);
+            });
+            assert_eq!(seen, (lo..hi).collect::<Vec<_>>());
+        }
+        let stats = store.stats();
+        assert_eq!(stats.hits + stats.misses, 0, "sweeps bypass the cache");
         std::fs::remove_file(&path).ok();
     }
 

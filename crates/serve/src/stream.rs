@@ -11,7 +11,7 @@
 //!                                             │ apply batch → touched set
 //!                                             │ per model:
 //!                                             │   Local:     recompute the dirty rows
-//!                                             │              (layer-wise or closure), patch cache
+//!                                             │              (rescore_layered), patch cache
 //!                                             │   Full:      full pass on mutated graph
 //!                                             │   Refit:     fit + full pass
 //!                                             ▼
@@ -778,13 +778,24 @@ pub(crate) fn parse_update_body(body: &[u8]) -> Result<Vec<GraphMutation>, (u16,
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use vgod_baselines::{Deg, DegNorm, L2Norm};
+    use vgod_baselines::{DeepConfig, Deg, DegNorm, L2Norm, Radar, RandomDetector};
     use vgod_graph::{save_graph, seeded_rng};
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("vgod_stream_{tag}_{}", std::process::id()))
     }
 
+    /// A Radar small enough to refit on every batch of a test.
+    fn tiny_radar() -> Radar {
+        Radar::new(DeepConfig {
+            hidden: 4,
+            epochs: 2,
+            ..DeepConfig::fast()
+        })
+    }
+
+    /// The three leakage probes (`Local`), a random control
+    /// (`FullRescore`) and a fitted Radar (`Refit`), one checkpoint each.
     fn fixture(tag: &str) -> (PathBuf, PathBuf, AttributedGraph) {
         let mut rng = seeded_rng(33);
         let mut g = vgod_graph::community_graph(
@@ -804,6 +815,14 @@ mod tests {
             .unwrap();
         AnyDetector::DegNorm(DegNorm)
             .save_file(&dir.join("degnorm.ckpt"))
+            .unwrap();
+        AnyDetector::Random(RandomDetector::new(5))
+            .save_file(&dir.join("random.ckpt"))
+            .unwrap();
+        let mut radar = tiny_radar();
+        radar.fit(&g);
+        AnyDetector::Radar(radar)
+            .save_file(&dir.join("radar.ckpt"))
             .unwrap();
         let graph_path = tmp(&format!("{tag}_graph.txt"));
         save_graph(&g, graph_path.display().to_string()).unwrap();
@@ -896,10 +915,14 @@ mod tests {
         g.append_node(&[1.0, 1.0, 1.0, 1.0], Some(0));
         g.add_edge(90, 5);
 
+        let mut radar = tiny_radar();
+        radar.fit(&g);
         for (name, full) in [
             ("deg", Deg.score(&g).combined),
             ("l2norm", L2Norm.score(&g).combined),
             ("degnorm", DegNorm.score(&g).combined),
+            ("random", RandomDetector::new(5).score(&g).combined),
+            ("radar", radar.score(&g).combined),
         ] {
             assert_eq!(served(&engine, name), full, "model {name}");
         }
@@ -923,16 +946,13 @@ mod tests {
                 .as_u64(),
             Some(2)
         );
-        assert!(
-            stream
-                .get("rescore")
-                .unwrap()
-                .get("delta_nodes")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-                > 0
-        );
+        // Every capability's arm ran: delta patches, a full rescore and a
+        // refit.
+        let rescore = stream.get("rescore").unwrap();
+        for counter in ["delta_nodes", "full_passes", "refits"] {
+            let count = rescore.get(counter).unwrap().as_u64().unwrap();
+            assert!(count > 0, "rescore.{counter} = {count}");
+        }
 
         engine.shutdown();
         engine.join();
