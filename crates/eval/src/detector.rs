@@ -218,7 +218,8 @@ pub enum DeltaCapability {
 /// but the detector that built it; a [`crate::ScoreCache`] owns it.
 pub type LayerState = Box<dyn Any + Send>;
 
-/// What one layer-wise incremental rescore recomputed.
+/// What one incremental rescore ([`OutlierDetector::rescore_layered`])
+/// recomputed.
 #[derive(Clone, Debug)]
 pub struct LayeredDelta {
     /// The rescored nodes, sorted.
