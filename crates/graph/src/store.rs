@@ -754,16 +754,23 @@ impl StoreFile {
     }
 }
 
+// Both decoders fill a presized buffer so the 4-byte chunk width is a
+// compile-time constant and the copy vectorises: a `collect` of the chunks
+// runs an out-of-line loop that moves one word per iteration.
 fn bytes_to_u32s(buf: &[u8]) -> Vec<u32> {
-    buf.chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+    let mut out = vec![0u32; buf.len() / 4];
+    for (o, c) in out.iter_mut().zip(buf.chunks_exact(4)) {
+        *o = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    out
 }
 
 fn bytes_to_f32s(buf: &[u8]) -> Vec<f32> {
-    buf.chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+    let mut out = vec![0.0f32; buf.len() / 4];
+    for (o, c) in out.iter_mut().zip(buf.chunks_exact(4)) {
+        *o = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    out
 }
 
 impl OocStore {

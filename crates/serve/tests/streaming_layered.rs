@@ -4,9 +4,8 @@
 //! every batch the cache must equal a from-scratch full rescore of the
 //! mutated graph bit for bit on all three channels, and the number of
 //! rescored rows must be exactly `|B_L(touched)|` — the layer-wise path's
-//! footprint, smaller than the closure rescore's `B_{L+1}` frontier — or,
-//! on a GAT, GIN or SAGE ARM, every node once a layer's dirty set passes
-//! the row-path crossover.
+//! footprint — or, on a GAT, GIN or SAGE ARM, every node once a layer's
+//! dirty set passes the row-path crossover.
 
 use std::sync::{Arc, OnceLock};
 

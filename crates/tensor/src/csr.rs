@@ -1,9 +1,7 @@
 //! Compressed-sparse-row matrices for graph message passing.
 
 use crate::kernels;
-use crate::parallel::{
-    for_each_row_band, for_each_row_chunk, row_chunks, threads_for, SPMM_WORK_THRESHOLD,
-};
+use crate::parallel::{for_each_row_band, threads_for, SPMM_WORK_THRESHOLD};
 use crate::{Matrix, TensorError};
 
 /// A sparse matrix in compressed-sparse-row format.
@@ -189,14 +187,10 @@ impl Csr {
     /// Transposed sparse × dense product `selfᵀ · dense` (`c×r · r×d → c×d`).
     ///
     /// Used by the autograd backward pass of `spmm` — a training hot path.
-    /// Unlike [`Csr::spmm`] the scatter here is *not* row-disjoint (many
-    /// input rows write the same output row), so the parallel path gives
-    /// each input-row band its own `c × d` partial output and merges the
-    /// partials in band order afterwards. Deterministic for a fixed thread
-    /// count, but a merge-class kernel: only approximately equal to the
-    /// sequential accumulation order under f32 rounding (DESIGN.md
-    /// § Threading model). Partial buffers cost `threads · c · d` floats,
-    /// bounded by the thread cap.
+    /// Runs as [`Csr::spmm`] over [`Csr::transpose`]: each output row's
+    /// sources sit in ascending input-row order, the add order of a
+    /// sequential scatter, and the row kernel is row-disjoint, so the
+    /// result is bit-identical at every thread count.
     pub fn spmm_t(&self, dense: &Matrix) -> Matrix {
         assert_eq!(
             self.n_rows,
@@ -206,50 +200,11 @@ impl Csr {
             self.n_cols,
             dense.shape()
         );
-        let d = dense.cols();
-        let out_len = self.n_cols * d;
-        let threads = threads_for(self.nnz() * d, SPMM_WORK_THRESHOLD).min(self.n_rows.max(1));
-        if threads <= 1 {
-            let mut out = Matrix::zeros(self.n_cols, d);
-            self.scatter_rows_into(0, self.n_rows, dense, out.as_mut_slice());
-            return out;
-        }
-        let row_ranges = row_chunks(self.n_rows, threads);
-        let mut partials = vec![0.0f32; row_ranges.len() * out_len];
-        let unit: Vec<(usize, usize)> = (0..row_ranges.len()).map(|i| (i, i + 1)).collect();
-        for_each_row_chunk(&mut partials, out_len, &unit, |b, _, buf| {
-            let (rs, re) = row_ranges[b];
-            self.scatter_rows_into(rs, re, dense, buf);
-        });
-        let mut out = Matrix::zeros(self.n_cols, d);
-        let out_data = out.as_mut_slice();
-        let partials_ref = &partials;
-        let merge_threads = threads_for(out_len, SPMM_WORK_THRESHOLD);
-        for_each_row_band(out_data, 1, out_len, merge_threads, |s, e, band| {
-            for b in 0..row_ranges.len() {
-                kernels::add_inplace(band, &partials_ref[b * out_len + s..b * out_len + e]);
-            }
-        });
-        out
+        self.transpose().spmm(dense)
     }
 
-    /// Scatter input rows `rs..re` of `selfᵀ · dense` into `out`
-    /// (a `n_cols × dense.cols()` row-major buffer).
-    fn scatter_rows_into(&self, rs: usize, re: usize, dense: &Matrix, out: &mut [f32]) {
-        let d = dense.cols();
-        kernels::scatter_rows(
-            out,
-            rs,
-            re,
-            &self.indptr,
-            &self.indices,
-            &self.values,
-            dense.as_slice(),
-            d,
-        );
-    }
-
-    /// Explicit transpose as a new CSR matrix.
+    /// Explicit transpose as a new CSR matrix. Each output row lists its
+    /// entries in ascending input-row order.
     pub fn transpose(&self) -> Csr {
         let mut counts = vec![0usize; self.n_cols + 1];
         for &c in &self.indices {
@@ -392,22 +347,37 @@ mod tests {
     }
 
     #[test]
-    fn large_spmm_t_parallel_path_matches_serial() {
-        let _ = crate::pool::set_num_threads(4);
-        // Cross the work threshold so the partial-merge parallel path runs.
-        let n = 900;
-        let edges: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|r| (0..8u32).map(move |k| (r, (r * 37 + k * 131) % n as u32)))
-            .collect();
-        let s = Csr::from_edges(n, n, &edges).unwrap();
-        let d = Matrix::from_fn(n, 600, |r, c| ((r * 13 + c * 7) % 23) as f32 * 0.1 - 1.0);
-        assert!(
-            s.nnz() * d.cols() >= SPMM_WORK_THRESHOLD,
-            "test must cross the threshold"
-        );
-        let fast = s.spmm_t(&d);
-        let reference = s.transpose().spmm(&d);
-        assert!(fast.approx_eq(&reference, 1e-3));
+    fn spmm_t_adds_in_ascending_input_row_order() {
+        // Output row 0 gathers 1e8, 1 and -1e8 from input rows 0, 1, 2: in
+        // that order the 1 is absorbed and the sum is 0; any other grouping
+        // keeps it. `d = 1` takes the unfused tail on both ISAs.
+        let s = Csr::from_triplets(
+            4,
+            2,
+            &[
+                (0, 0, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 2.0),
+                (2, 0, 1.0),
+                (3, 1, 0.5),
+            ],
+        )
+        .unwrap();
+        let d = Matrix::from_rows(&[&[1e8], &[1.0], &[-1e8], &[3.0]]);
+        let mut scatter = Matrix::zeros(2, 1);
+        for r in 0..s.n_rows() {
+            for (&c, &v) in s.row_indices(r).iter().zip(s.row_values(r)) {
+                scatter[(c as usize, 0)] += v * d[(r, 0)];
+            }
+        }
+        assert_eq!(scatter[(0, 0)], 0.0);
+        for forced in [true, false] {
+            crate::simd::force_scalar(forced);
+            let got = s.spmm_t(&d);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&scatter), "force_scalar({forced})");
+        }
+        crate::simd::force_scalar(false);
     }
 
     #[test]

@@ -421,39 +421,6 @@ pub(crate) unsafe fn spmm_rows(
     }
 }
 
-/// SpMM-T scatter for input rows `rs..re`: a broadcast-FMA axpy of each
-/// dense source row into `out[col]`. Entry order matches the scalar kernel.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn scatter_rows(
-    out: &mut [f32],
-    rs: usize,
-    re: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    values: &[f32],
-    dense: &[f32],
-    d: usize,
-) {
-    let chunks = d / 8;
-    for r in rs..re {
-        let src = dense.as_ptr().add(r * d);
-        let (ps, pe) = (indptr[r], indptr[r + 1]);
-        for (&c, &v) in indices[ps..pe].iter().zip(&values[ps..pe]) {
-            let dst = out.as_mut_ptr().add(c as usize * d);
-            let vb = _mm256_set1_ps(v);
-            for u in 0..chunks {
-                let cur = _mm256_loadu_ps(dst.add(u * 8));
-                let upd = _mm256_fmadd_ps(vb, _mm256_loadu_ps(src.add(u * 8)), cur);
-                _mm256_storeu_ps(dst.add(u * 8), upd);
-            }
-            for jj in chunks * 8..d {
-                *dst.add(jj) += v * *src.add(jj);
-            }
-        }
-    }
-}
-
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn zip_add(dst: &mut [f32], a: &[f32], b: &[f32]) {
     let chunks = dst.len() / 8;

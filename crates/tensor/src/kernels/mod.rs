@@ -223,25 +223,6 @@ pub(crate) fn spmm_rows(
     )
 }
 
-/// CSR SpMM-T scatter of input rows `rs..re` into the full `n_cols × d`
-/// accumulator `out`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_rows(
-    out: &mut [f32],
-    rs: usize,
-    re: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    values: &[f32],
-    dense: &[f32],
-    d: usize,
-) {
-    dispatch!(
-        scalar::scatter_rows(out, rs, re, indptr, indices, values, dense, d),
-        avx2::scatter_rows(out, rs, re, indptr, indices, values, dense, d)
-    )
-}
-
 /// `dst = a + b` elementwise.
 pub(crate) fn zip_add(dst: &mut [f32], a: &[f32], b: &[f32]) {
     dispatch!(scalar::zip_add(dst, a, b), avx2::zip_add(dst, a, b))

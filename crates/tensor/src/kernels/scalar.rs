@@ -256,31 +256,6 @@ pub(crate) fn spmm_rows(
     }
 }
 
-/// SpMM-T scatter: for input rows `rs..re`, `out[col] += value · dense[row]`
-/// where `out` is the full `n_cols × d` accumulator buffer.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_rows(
-    out: &mut [f32],
-    rs: usize,
-    re: usize,
-    indptr: &[usize],
-    indices: &[u32],
-    values: &[f32],
-    dense: &[f32],
-    d: usize,
-) {
-    for r in rs..re {
-        let src = &dense[r * d..(r + 1) * d];
-        let (ps, pe) = (indptr[r], indptr[r + 1]);
-        for (&c, &v) in indices[ps..pe].iter().zip(&values[ps..pe]) {
-            let dst = &mut out[c as usize * d..(c as usize + 1) * d];
-            for (o, &x) in dst.iter_mut().zip(src) {
-                *o += v * x;
-            }
-        }
-    }
-}
-
 pub(crate) fn zip_add(dst: &mut [f32], a: &[f32], b: &[f32]) {
     for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
         *d = x + y;

@@ -552,36 +552,9 @@ impl Matrix {
     // Reductions
     // ------------------------------------------------------------------
 
-    /// Fold the flat data in parallel: `fold` reduces one contiguous chunk,
-    /// `merge` combines the per-chunk partials (in chunk order, starting
-    /// from `init`). The merge order is deterministic for a fixed thread
-    /// count, but grouping differs from the sequential fold, so results are
-    /// only approximately equal to sequential under f32 rounding (see
-    /// DESIGN.md § Threading model).
-    fn fold_elem_chunks(
-        &self,
-        init: f32,
-        fold: impl Fn(&[f32]) -> f32 + Sync,
-        merge: impl Fn(f32, f32) -> f32,
-    ) -> f32 {
-        let threads = elem_threads(self.data.len());
-        if threads <= 1 {
-            return merge(init, fold(&self.data));
-        }
-        let ranges = row_chunks(self.data.len(), threads);
-        let mut partials = vec![0.0f32; ranges.len()];
-        let src = &self.data;
-        let unit: Vec<(usize, usize)> = (0..ranges.len()).map(|i| (i, i + 1)).collect();
-        for_each_row_chunk(&mut partials, 1, &unit, |b, _, buf| {
-            let (s, e) = ranges[b];
-            buf[0] = fold(&src[s..e]);
-        });
-        partials.into_iter().fold(init, merge)
-    }
-
     /// Sum of all elements (8-lane kernel, fixed reduction tree).
     pub fn sum(&self) -> f32 {
-        self.fold_elem_chunks(0.0, kernels::sum, |a, b| a + b)
+        kernels::sum(&self.data)
     }
 
     /// Mean of all elements (0.0 for an empty matrix).
@@ -616,34 +589,12 @@ impl Matrix {
         out
     }
 
-    /// Per-column sums as a `1 × d` row vector.
-    ///
-    /// Columns are a merge-class reduction (every row touches every output
-    /// element): row bands accumulate into per-band partial rows, merged in
-    /// band order afterwards. Deterministic, but only approximately equal to
-    /// the sequential accumulation order under f32 rounding.
+    /// Per-column sums as a `1 × d` row vector: rows added in order, so
+    /// the result does not depend on the thread count.
     pub fn col_sums(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        let threads = threads_for(self.data.len(), ELEMWISE_THRESHOLD).min(self.rows.max(1));
-        if threads <= 1 {
-            for r in 0..self.rows {
-                kernels::add_inplace(&mut out.data, self.row(r));
-            }
-            return out;
-        }
-        let row_ranges = row_chunks(self.rows, threads);
-        let mut partials = vec![0.0f32; row_ranges.len() * self.cols];
-        let src = &self.data;
-        let cols = self.cols;
-        let unit: Vec<(usize, usize)> = (0..row_ranges.len()).map(|i| (i, i + 1)).collect();
-        for_each_row_chunk(&mut partials, cols, &unit, |b, _, buf| {
-            let (rs, re) = row_ranges[b];
-            for r in rs..re {
-                kernels::add_inplace(buf, &src[r * cols..(r + 1) * cols]);
-            }
-        });
-        for band in partials.chunks_exact(cols.max(1)) {
-            kernels::add_inplace(&mut out.data, band);
+        for r in 0..self.rows {
+            kernels::add_inplace(&mut out.data, self.row(r));
         }
         out
     }
@@ -671,17 +622,12 @@ impl Matrix {
 
     /// Frobenius norm of the whole matrix.
     pub fn frobenius_norm(&self) -> f32 {
-        self.fold_elem_chunks(0.0, kernels::sum_sq, |a, b| a + b)
-            .sqrt()
+        kernels::sum_sq(&self.data).sqrt()
     }
 
     /// Largest absolute element (0.0 for an empty matrix).
     pub fn max_abs(&self) -> f32 {
-        self.fold_elem_chunks(
-            0.0,
-            |chunk| chunk.iter().fold(0.0f32, |m, v| m.max(v.abs())),
-            f32::max,
-        )
+        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
     // ------------------------------------------------------------------

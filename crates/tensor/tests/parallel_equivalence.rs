@@ -2,11 +2,11 @@
 //! worker pool as on the sequential path, and the dispatched SIMD path
 //! agrees with the forced-scalar path within the documented contract.
 //!
-//! Row-disjoint kernels (GEMM, spmm, maps, zips, broadcasts, row reductions,
-//! gather, transpose) run the *same* per-row arithmetic under any banding, so
-//! they must match **bit-for-bit**. Merge-class kernels (`spmm_t`, `col_sums`,
-//! `sum` / `frobenius_norm`, …) combine per-band partials and are only equal
-//! up to f32 rounding — see DESIGN.md § Threading model.
+//! Every kernel is either row-disjoint (GEMM, spmm, spmm_t, maps, zips,
+//! broadcasts, row reductions, gather, transpose), running the *same* per-row
+//! arithmetic under any banding, or plainly sequential (`col_sums`, `sum`,
+//! `frobenius_norm`, `max_abs`), so the pooled path must match the sequential
+//! one **bit-for-bit** — see DESIGN.md § Threading model.
 //!
 //! Across ISAs (scalar vs AVX2) the elementwise kernels, `fused_adam`, `sum`
 //! and `sum_sq` are bitwise identical; the FMA kernels (GEMM, SpMM) agree
@@ -102,16 +102,17 @@ fn assert_exact(seq: &Matrix, par: &Matrix) {
     assert_eq!(
         seq.as_slice(),
         par.as_slice(),
-        "row-disjoint kernel must be bit-identical across paths"
+        "kernel must be bit-identical across paths"
     );
 }
 
-fn assert_close(seq: &[f32], par: &[f32], tol: f32) {
-    assert_eq!(seq.len(), par.len());
-    for (i, (&a, &b)) in seq.iter().zip(par).enumerate() {
+/// Scalar vs SIMD for the FMA-class kernels: equal within float tolerance.
+fn assert_close(scalar: &[f32], simd: &[f32], tol: f32) {
+    assert_eq!(scalar.len(), simd.len());
+    for (i, (&a, &b)) in scalar.iter().zip(simd).enumerate() {
         assert!(
             (a - b).abs() <= tol * (1.0 + a.abs()),
-            "merge-class kernel diverged at {i}: seq {a} vs par {b}"
+            "FMA-class kernel diverged across ISAs at {i}: {a} vs {b}"
         );
     }
 }
@@ -143,15 +144,14 @@ proptest! {
         assert_exact(&s, &p);
     }
 
-    /// spmm_t merges per-band partial outputs — equal up to f32 rounding.
+    /// spmm_t gathers over the transpose into disjoint output rows — bit-exact.
     #[test]
-    fn spmm_t_partial_merge_matches(seed in 0u64..1000, n in 1800usize..2200, d in 48usize..64) {
+    fn spmm_t_matches(seed in 0u64..1000, n in 1800usize..2200, d in 48usize..64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let adj = random_csr(n, n, 12, &mut rng);
         let h = random_matrix(n, d, &mut rng);
         let (s, p) = seq_then_par(|| adj.spmm_t(&h));
-        assert_eq!(s.shape(), p.shape());
-        assert_close(s.as_slice(), p.as_slice(), 1e-4);
+        assert_exact(&s, &p);
     }
 
     /// Elementwise family — row-disjoint, bit-exact.
@@ -240,20 +240,17 @@ proptest! {
         assert_exact(&s, &p);
     }
 
-    /// Full reductions and col_sums merge per-band partials — f32 rounding.
+    /// Full reductions and col_sums run one sequential order — bit-exact.
     #[test]
-    fn merge_class_reductions_match(seed in 0u64..1000, r in 380usize..430, c in 380usize..430) {
+    fn full_reductions_match(seed in 0u64..1000, r in 380usize..430, c in 380usize..430) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_matrix(r, c, &mut rng);
         let (s, p) = seq_then_par(|| a.col_sums());
-        assert_close(s.as_slice(), p.as_slice(), 1e-4);
-        let (s, p) = seq_then_par(|| a.sum());
-        assert_close(&[s], &[p], 1e-3);
-        let (s, p) = seq_then_par(|| a.frobenius_norm());
-        assert_close(&[s], &[p], 1e-4);
-        // max_abs is order-independent: exact across paths.
-        let (s, p) = seq_then_par(|| a.max_abs());
-        assert_eq!(s, p);
+        assert_exact(&s, &p);
+        for f in [Matrix::sum, Matrix::frobenius_norm, Matrix::max_abs] {
+            let (s, p) = seq_then_par(|| f(&a));
+            assert_eq!(s.to_bits(), p.to_bits());
+        }
     }
 
     /// Transpose and gather parallelize over output rows — bit-exact.

@@ -4,6 +4,11 @@
 //! `VGOD_SIMD` selects. Each kernel fixes its accumulation order per ISA, so
 //! neither banding nor buffer recycling may leak into results.
 //!
+//! The Cora-tiny replica stays below every pool threshold, so its pooled
+//! runs take the sequential kernels too; the VGOD case on the PubMed-medium
+//! replica crosses the SpMM (nnz·d ≥ 1e6) and elementwise (131,072
+//! elements) thresholds, so its pooled run really bands the kernels.
+//!
 //! `force_sequential` is process-global, so the runs of one detector are
 //! serialized behind a file-local lock.
 
@@ -30,23 +35,25 @@ fn small_graph() -> AttributedGraph {
     data.graph
 }
 
-/// Fit four times — sequential/cold, sequential/warm, pooled/warm,
+/// Fit four times on `g` — sequential/cold, sequential/warm, pooled/warm,
 /// pooled/cold — and require all four score vectors bitwise equal.
-fn all_paths_bit_identical(mut fit_and_score: impl FnMut(&AttributedGraph) -> Vec<f32>) {
+fn all_paths_bit_identical(
+    g: &AttributedGraph,
+    mut fit_and_score: impl FnMut(&AttributedGraph) -> Vec<f32>,
+) {
     let _lock = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _ = threading::set_num_threads(4);
     let _guard = SeqGuard;
-    let g = small_graph();
 
     threading::force_sequential(true);
     vgod_suite::tensor::arena::clear();
-    let seq_cold = fit_and_score(&g);
-    let seq_warm = fit_and_score(&g);
+    let seq_cold = fit_and_score(g);
+    let seq_warm = fit_and_score(g);
 
     threading::force_sequential(false);
-    let par_warm = fit_and_score(&g);
+    let par_warm = fit_and_score(g);
     vgod_suite::tensor::arena::clear();
-    let par_cold = fit_and_score(&g);
+    let par_cold = fit_and_score(g);
 
     assert!(seq_cold.iter().all(|s| s.is_finite()));
     for (label, run) in [
@@ -74,22 +81,28 @@ fn deep_cfg() -> DeepConfig {
 
 #[test]
 fn dominant_is_simd_deterministic() {
-    all_paths_bit_identical(|g| Dominant::new(deep_cfg()).fit_score(g).combined);
+    all_paths_bit_identical(&small_graph(), |g| {
+        Dominant::new(deep_cfg()).fit_score(g).combined
+    });
 }
 
 #[test]
 fn anomaly_dae_is_simd_deterministic() {
-    all_paths_bit_identical(|g| AnomalyDae::new(deep_cfg()).fit_score(g).combined);
+    all_paths_bit_identical(&small_graph(), |g| {
+        AnomalyDae::new(deep_cfg()).fit_score(g).combined
+    });
 }
 
 #[test]
 fn done_is_simd_deterministic() {
-    all_paths_bit_identical(|g| Done::new(deep_cfg()).fit_score(g).combined);
+    all_paths_bit_identical(&small_graph(), |g| {
+        Done::new(deep_cfg()).fit_score(g).combined
+    });
 }
 
 #[test]
 fn cola_is_simd_deterministic() {
-    all_paths_bit_identical(|g| {
+    all_paths_bit_identical(&small_graph(), |g| {
         let mut model = Cola::new(deep_cfg());
         model.rounds = 4;
         model.fit_score(g).combined
@@ -98,12 +111,14 @@ fn cola_is_simd_deterministic() {
 
 #[test]
 fn conad_is_simd_deterministic() {
-    all_paths_bit_identical(|g| Conad::new(deep_cfg()).fit_score(g).combined);
+    all_paths_bit_identical(&small_graph(), |g| {
+        Conad::new(deep_cfg()).fit_score(g).combined
+    });
 }
 
 #[test]
 fn vbm_is_simd_deterministic() {
-    all_paths_bit_identical(|g| {
+    all_paths_bit_identical(&small_graph(), |g| {
         let mut model = Vbm::new(VbmConfig {
             hidden_dim: 16,
             epochs: 5,
@@ -118,7 +133,7 @@ fn vbm_is_simd_deterministic() {
 
 #[test]
 fn arm_is_simd_deterministic() {
-    all_paths_bit_identical(|g| {
+    all_paths_bit_identical(&small_graph(), |g| {
         let mut model = Arm::new(ArmConfig {
             hidden_dim: 16,
             layers: 2,
@@ -130,5 +145,29 @@ fn arm_is_simd_deterministic() {
         });
         model.fit(g);
         model.scores(g)
+    });
+}
+
+/// VGOD at the CLI's hidden width on a replica large enough that the pool
+/// bands `spmm`, `spmm_t`, the bias-gradient `col_sums` and the loss
+/// reductions.
+#[test]
+fn vgod_above_pool_thresholds_is_thread_count_independent() {
+    let g = replica(Dataset::PubmedLike, Scale::Medium, &mut seeded_rng(1)).graph;
+    // The pool thresholds of `vgod_tensor::parallel`: SpMM work nnz·d and
+    // elementwise length, at the hidden width d = 64.
+    let nnz = g.adjacency().nnz();
+    assert!(nnz * 64 >= 1_000_000, "below the SpMM threshold: nnz {nnz}");
+    assert!(
+        g.num_nodes() * 64 >= 131_072,
+        "below the elementwise threshold"
+    );
+    all_paths_bit_identical(&g, |g| {
+        let mut cfg = VgodConfig::default();
+        cfg.vbm.hidden_dim = 64;
+        cfg.vbm.epochs = 2;
+        cfg.arm.hidden_dim = 64;
+        cfg.arm.epochs = 2;
+        Vgod::new(cfg).fit_score(g).combined
     });
 }
