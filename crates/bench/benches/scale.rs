@@ -49,9 +49,6 @@ struct ClassResult {
 
 /// One execution mode of the concurrent scoring A/B (same fitted model,
 /// same budget, fresh cold block cache; scores asserted bit-identical).
-/// A mode whose machinery self-disables on this host (prefetch with no
-/// spare hardware thread) is recorded as `skipped` instead of being timed:
-/// a timing row for a stage that never ran would only measure noise.
 struct AbResult {
     mode: &'static str,
     threads: usize,
@@ -59,7 +56,6 @@ struct AbResult {
     bytes_read: u64,
     hits: u64,
     misses: u64,
-    skipped: Option<&'static str>,
 }
 
 /// Cache-replacement comparison under a hot-set-plus-scan workload.
@@ -142,10 +138,10 @@ fn run_class(
     }
 }
 
-/// Sequential vs batch-parallel vs parallel+prefetch scoring of one fitted
-/// sampled-path detector. Each mode reopens the store so every run starts
-/// from a cold block cache under the same budget; the OS page cache is
-/// warm for all three (the fit pass touched the whole file), so the A/B
+/// Sequential vs batch-parallel scoring of one fitted sampled-path
+/// detector. Each mode reopens the store so every run starts from a cold
+/// block cache under the same budget; the OS page cache is warm for both
+/// (the fit pass touched the whole file), so the A/B
 /// isolates the pipeline, not the disk.
 fn run_ab(path: &Path, budget: usize, cfg: &SamplingConfig) -> Vec<AbResult> {
     let store = OocStore::open(path, budget).expect("open store for A/B fit");
@@ -157,35 +153,12 @@ fn run_ab(path: &Path, budget: usize, cfg: &SamplingConfig) -> Vec<AbResult> {
     vbm.fit_store(&store, cfg);
     drop(store);
 
-    let modes: [(&'static str, usize, bool); 3] = [
-        ("sequential", 1, false),
-        ("parallel", 0, false),
-        ("parallel_prefetch", 0, true),
-    ];
-    let hw_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut baseline: Option<Vec<f32>> = None;
     let mut out = Vec::new();
-    for (mode, threads, prefetch) in modes {
-        // The scoring pipeline self-disables the prefetcher when there is
-        // no spare hardware thread to absorb its pread time; honor that
-        // here instead of publishing a timing row for a stage that never
-        // ran (it would differ from plain parallel only by noise).
-        if prefetch && hw_threads <= 1 {
-            out.push(AbResult {
-                mode,
-                threads: hw_threads,
-                score_ms: 0.0,
-                bytes_read: 0,
-                hits: 0,
-                misses: 0,
-                skipped: Some("prefetch self-disables on a single-hardware-thread host"),
-            });
-            continue;
-        }
+    for (mode, threads) in [("sequential", 1), ("parallel", 0)] {
         let store = OocStore::open(path, budget).expect("open store for A/B mode");
         let run_cfg = SamplingConfig {
             ooc_threads: threads,
-            prefetch,
             ..*cfg
         };
         let t0 = Instant::now();
@@ -206,7 +179,6 @@ fn run_ab(path: &Path, budget: usize, cfg: &SamplingConfig) -> Vec<AbResult> {
             bytes_read: st.bytes_read,
             hits: st.hits,
             misses: st.misses,
-            skipped: None,
         });
     }
     out
@@ -371,10 +343,6 @@ fn main() {
             );
         }
         for ab in &p.ab {
-            if let Some(reason) = ab.skipped {
-                eprintln!("  ab {:>18} skipped: {reason}", ab.mode);
-                continue;
-            }
             eprintln!(
                 "  ab {:>18} ({} thread(s)) score {:>10.1} ms  read {:>8.1} MB  \
                  {} hits / {} misses",
@@ -443,13 +411,6 @@ fn write_json(budget: usize, points: &[PointResult]) {
         out.push_str("     \"ab\": [\n");
         for (j, a) in p.ab.iter().enumerate() {
             let comma = if j + 1 < p.ab.len() { "," } else { "" };
-            if let Some(reason) = a.skipped {
-                out.push_str(&format!(
-                    "       {{\"mode\": \"{}\", \"threads\": {}, \"skipped\": \"{reason}\"}}{comma}\n",
-                    a.mode, a.threads,
-                ));
-                continue;
-            }
             out.push_str(&format!(
                 "       {{\"mode\": \"{}\", \"threads\": {}, \"score_ms\": {:.1}, \
                  \"bytes_read\": {}, \"hits\": {}, \"misses\": {}}}{comma}\n",

@@ -159,7 +159,6 @@ fn main() {
         train_seeds: 1024,
         seed: 42,
         ooc_threads: 1,
-        ..SamplingConfig::default()
     };
 
     let mut curves = Vec::new();

@@ -308,7 +308,6 @@ fn sampling_config(args: &Args, batch: usize) -> Result<SamplingConfig, String> 
         ooc_threads: args
             .get_parsed_or("ooc-threads", 0)
             .map_err(|e| e.to_string())?,
-        prefetch: args.has("prefetch"),
     })
 }
 
@@ -347,7 +346,7 @@ fn detect_out_of_core(
         eprintln!(
             "store {input}: {} nodes, {} edges, {} attrs; budget {} bytes \
              ({} cache, {} shards), sampling threshold {} (batch {}, fanout {}, \
-             hops {}, train seeds {}), {} score thread(s), prefetch {}",
+             hops {}, train seeds {}), {} score thread(s)",
             store.num_nodes(),
             store.num_edges(),
             store.num_attrs(),
@@ -360,7 +359,6 @@ fn detect_out_of_core(
             scfg.hops,
             scfg.train_seeds,
             scfg.score_threads(),
-            if scfg.prefetch { "on" } else { "off" },
         );
     }
     let detector = match load_model {
@@ -1263,7 +1261,7 @@ mod tests {
         // Same switch list as main.rs so tests drive the real flag grammar.
         Args::parse_with_switches(
             &words.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-            &["out-of-core", "verbose", "prefetch"],
+            &["out-of-core", "verbose"],
         )
         .unwrap()
     }
@@ -1572,7 +1570,6 @@ mod tests {
             "100",
             "--ooc-threads",
             "2",
-            "--prefetch",
             "--addr-file",
             &addr_file,
         ]
@@ -1580,7 +1577,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let server = std::thread::spawn(move || {
-            serve(&Args::parse_with_switches(&serve_args, &["out-of-core", "prefetch"]).unwrap())
+            serve(&Args::parse_with_switches(&serve_args, &["out-of-core"]).unwrap())
         });
 
         let addr = loop {
@@ -1653,7 +1650,7 @@ mod tests {
             &truth_path,
         ]))
         .unwrap();
-        // The concurrent pipeline (parallel batches + prefetch) is an
+        // The concurrent pipeline (parallel batches) is an
         // optimisation, not a different algorithm: same scores, any policy.
         let scores_par = tmp("ooc_scores_par.tsv");
         detect(&args_of(&[
@@ -1670,7 +1667,6 @@ mod tests {
             "100",
             "--ooc-threads",
             "4",
-            "--prefetch",
             "--cache-policy",
             "lru",
         ]))

@@ -38,7 +38,6 @@ COMMANDS:
              [--mem-budget SIZE (default 256M) --threshold N --fanout N --hops N]
              [--train-seeds N --sample-seed N --verbose: print store stats]
              [--ooc-threads N: parallel score batches, 0 = worker pool size]
-             [--prefetch: overlap next-batch block reads with compute]
              [--cache-policy segmented|lru: block replacement, default segmented]
              [--shards N: partition the graph and score across N forked
               worker processes; merged output is byte-identical]
@@ -80,16 +79,14 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(2);
     };
-    let args =
-        match Args::parse_with_switches(rest, &["out-of-core", "verbose", "prefetch", "streaming"])
-        {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        };
+    let args = match Args::parse_with_switches(rest, &["out-of-core", "verbose", "streaming"]) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}\n");
+            eprint!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     // Every input is a named flag; stray words are most likely typos.
     if let Some(stray) = args.positional().first() {
         eprintln!("error: unexpected argument {stray:?} (all inputs are --flag value pairs)\n");

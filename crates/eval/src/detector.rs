@@ -2,7 +2,6 @@
 
 use std::any::Any;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use vgod_graph::{AttributedGraph, GraphStore, NeighborSampler, SampledBatch, SamplingConfig};
@@ -360,16 +359,6 @@ pub fn range_score_batches(
     lo / cfg.batch_size..hi.div_ceil(cfg.batch_size)
 }
 
-/// Sets a stop flag when dropped, so the prefetcher thread is released
-/// even when a scoring batch panics mid-flight.
-struct StopGuard<'a>(&'a AtomicBool);
-
-impl Drop for StopGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-}
-
 /// Score the sampled batches that tile the node range `[lo, hi)` (see
 /// [`range_score_batches`]) with `score_one`, keep each batch's seed rows
 /// and concatenate them in order — the sampled-path body of
@@ -379,16 +368,12 @@ impl Drop for StopGuard<'_> {
 /// bit-identical rows to the same batches of a full single-process pass.
 ///
 /// When the store supports shared access ([`GraphStore::as_shared`]) and
-/// the config asks for concurrency (`score_threads() > 1` or `prefetch`),
-/// batches are dispatched across the tensor worker pool, each writing its
+/// the config asks for concurrency (`score_threads() > 1`), batches are
+/// dispatched across the tensor worker pool, each writing its
 /// pre-assigned slot; otherwise the plain sequential loop runs. Results
 /// are bit-identical either way and at every thread count: batch `b`'s
 /// sampled subgraph depends only on `(cfg.seed, b)`, never on which
 /// thread ran it or in what order.
-///
-/// With `cfg.prefetch`, a background thread walks one batch wave ahead of
-/// compute, paging the next batches' edge/attribute blocks into the
-/// store's shared cache so compute threads find them resident.
 pub fn score_sampled_range(
     store: &dyn GraphStore,
     cfg: &SamplingConfig,
@@ -398,7 +383,7 @@ pub fn score_sampled_range(
 ) -> Scores {
     let batches = range_score_batches(store.num_nodes(), cfg, lo, hi);
     let threads = cfg.score_threads();
-    if threads > 1 || cfg.prefetch {
+    if threads > 1 {
         if let Some(shared) = store.as_shared() {
             return concat_scores(score_batches_parallel(
                 shared, cfg, batches, threads, score_one,
@@ -424,56 +409,14 @@ fn score_batches_parallel(
     let first = batches.start;
     let num_batches = batches.len();
     let slots: Vec<OnceLock<Scores>> = (0..num_batches).map(|_| OnceLock::new()).collect();
-    let done = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let n = store.num_nodes();
-    // The prefetch stage only pays off when a spare hardware thread can
-    // absorb the pread time; on a single-hardware-thread host every cycle
-    // it spends (it is almost pure system time in `pread`) is stolen from
-    // compute, so the stage is skipped. Scores are bit-identical either
-    // way — prefetching only changes which thread faults a block in.
-    let hw_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    std::thread::scope(|scope| {
-        let _stop_on_unwind = StopGuard(&stop);
-        let prefetcher = (cfg.prefetch && hw_threads > 1).then(|| {
-            scope.spawn(|| {
-                for rel in 1..num_batches {
-                    // Pace the I/O: stay at most one batch wave ahead of
-                    // compute so prefetched blocks are still resident when
-                    // their batch runs.
-                    while rel > done.load(Ordering::Relaxed) + threads + 1 {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        // Coarse poll: pacing only needs batch-scale
-                        // granularity, and each wakeup preempts a compute
-                        // thread when cores are scarce.
-                        std::thread::sleep(std::time::Duration::from_micros(500));
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let (lo, hi) = cfg.batch_seed_range(n, first + rel);
-                    store.prefetch_nodes(lo, hi);
-                }
-            })
-        });
-        vgod_tensor::threading::run_indexed(num_batches, threads, &|rel| {
-            let b = first + rel;
-            let sampler = NeighborSampler::new(store, *cfg);
-            let batch = sampler.score_batch(b);
-            let mut s = score_one(&batch);
-            s.truncate_to(batch.num_seeds);
-            let set = slots[rel].set(s);
-            assert!(set.is_ok(), "batch {b} dispatched twice");
-            done.fetch_add(1, Ordering::Relaxed);
-        });
-        stop.store(true, Ordering::Relaxed);
-        if let Some(p) = prefetcher {
-            p.join().expect("prefetcher thread panicked");
-        }
+    vgod_tensor::threading::run_indexed(num_batches, threads, &|rel| {
+        let b = first + rel;
+        let sampler = NeighborSampler::new(store, *cfg);
+        let batch = sampler.score_batch(b);
+        let mut s = score_one(&batch);
+        s.truncate_to(batch.num_seeds);
+        let set = slots[rel].set(s);
+        assert!(set.is_ok(), "batch {b} dispatched twice");
     });
     slots
         .into_iter()

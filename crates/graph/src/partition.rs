@@ -31,6 +31,7 @@ use crate::store::{
     write_store, GraphStore, OocStore, StoreOptions, DEFAULT_ATTR_BLOCK_NODES,
     DEFAULT_EDGE_BLOCK_ENTRIES,
 };
+use vgod_tensor::Matrix;
 
 /// Magic line of `partition.manifest`.
 pub const PARTITION_MAGIC: &str = "# vgod-partition v1";
@@ -125,8 +126,8 @@ pub struct PartitionManifest {
     pub num_attrs: usize,
     /// Full-copy or sliced layout.
     pub mode: PartitionMode,
-    /// The sampling config the partition was built for (`ooc_threads` and
-    /// `prefetch` are runtime knobs, recorded as their defaults).
+    /// The sampling config the partition was built for (`ooc_threads` is a
+    /// runtime knob, recorded as its default).
     pub sampling: SamplingConfig,
     /// Per-shard ranges and halo statistics, in shard order.
     pub shards: Vec<ShardMeta>,
@@ -741,6 +742,11 @@ impl GraphStore for ShardStore {
         self.inner.attr_row_into(self.local(u), out);
     }
 
+    fn gather_attrs(&self, nodes: &[u32]) -> Matrix {
+        let local: Vec<u32> = nodes.iter().map(|&u| self.local(u)).collect();
+        self.inner.gather_attrs(&local)
+    }
+
     fn visit_adjacency(&self, cb: &mut dyn FnMut(u32, &[u32])) {
         if !self.full_copy {
             self.sliced_only_panic("visit_adjacency");
@@ -780,21 +786,6 @@ impl GraphStore for ShardStore {
 
     fn as_shared(&self) -> Option<&(dyn GraphStore + Sync)> {
         Some(self)
-    }
-
-    fn prefetch_nodes(&self, lo: u32, hi: u32) {
-        // Warm only the owned intersection: prefetch targets seed ranges,
-        // and seeds scored by this shard always fall inside it.
-        let (olo, ohi) = if self.full_copy {
-            (lo, hi)
-        } else {
-            (lo.max(self.meta.lo), hi.min(self.meta.hi))
-        };
-        if olo >= ohi {
-            return;
-        }
-        self.inner
-            .prefetch_nodes(self.local(olo), self.local(ohi - 1) + 1);
     }
 }
 
@@ -879,14 +870,17 @@ mod tests {
         let dir = tempdir("partition_reads");
         let src = synth(&dir, 3000);
         let store = OocStore::open_with(&src, opts()).unwrap();
-        let cfg = PartitionConfig::new(
-            2,
-            SamplingConfig {
-                full_graph_threshold: 100, // force sliced mode
-                batch_size: 512,
-                ..SamplingConfig::default()
-            },
-        );
+        let cfg = PartitionConfig {
+            attr_block_nodes: 64, // many attribute blocks per slice
+            ..PartitionConfig::new(
+                2,
+                SamplingConfig {
+                    full_graph_threshold: 100, // force sliced mode
+                    batch_size: 512,
+                    ..SamplingConfig::default()
+                },
+            )
+        };
         let pdir = dir.join("parts");
         let manifest = partition_store(&store, &pdir, &cfg).unwrap();
         assert_eq!(manifest.mode, PartitionMode::Sliced);
@@ -923,6 +917,17 @@ mod tests {
                 swept.push(u);
             });
             assert_eq!(swept, (meta.lo..meta.hi).collect::<Vec<_>>());
+            // One gather over owned and ghost ids, scrambled and repeated,
+            // equals the shard's own row-by-row reads.
+            assert!(!halo.ghosts.is_empty(), "shard {i} has no ghosts");
+            let mut ids: Vec<u32> = (meta.lo..meta.hi).chain(halo.ghosts).collect();
+            ids.sort_unstable_by_key(|&u| u.wrapping_mul(2_654_435_761));
+            ids.extend_from_within(..ids.len() / 3);
+            let gathered = shard.gather_attrs(&ids);
+            for (r, &u) in ids.iter().enumerate() {
+                shard.attr_row_into(u, &mut row_got);
+                assert_eq!(gathered.row(r), &row_got[..], "gathered attrs {u}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -42,9 +42,6 @@ pub struct SamplingConfig {
     /// on `(seed, batch index)` and each batch writes a pre-assigned
     /// output slice.
     pub ooc_threads: usize,
-    /// Overlap I/O with compute: while batch `k` scores, a background
-    /// thread pages batch `k+1`'s blocks into the cache.
-    pub prefetch: bool,
 }
 
 impl Default for SamplingConfig {
@@ -57,7 +54,6 @@ impl Default for SamplingConfig {
             train_seeds: 2048,
             seed: 0,
             ooc_threads: 0,
-            prefetch: false,
         }
     }
 }
@@ -262,7 +258,6 @@ mod tests {
             train_seeds: 100,
             seed: 7,
             ooc_threads: 0,
-            prefetch: false,
         }
     }
 

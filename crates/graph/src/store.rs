@@ -274,11 +274,6 @@ pub trait GraphStore {
         None
     }
 
-    /// Hint that rows `lo..hi` are about to be read: warm their edge and
-    /// attribute blocks into the cache. Default: no-op (in-memory stores
-    /// have nothing to warm).
-    fn prefetch_nodes(&self, _lo: u32, _hi: u32) {}
-
     /// Gather attribute rows for `nodes` (in order) into a dense matrix.
     fn gather_attrs(&self, nodes: &[u32]) -> Matrix {
         let mut out = Matrix::zeros(nodes.len(), self.num_attrs());
@@ -511,18 +506,6 @@ impl ShardedCache {
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Residency probe that leaves every replacement signal untouched —
-    /// no recency bump, no promotion, no correlated-reference update. The
-    /// prefetcher uses this so warming ahead of the compute threads never
-    /// distorts the policy state their own accesses are building.
-    fn contains<T: BlockKind>(&self, b: usize) -> bool {
-        let shard_index = self.shard_of::<T>(b);
-        let mut shard = self.shards[shard_index]
-            .lock()
-            .expect("cache shard poisoned");
-        T::map(&mut shard).contains_key(&b)
     }
 
     /// Cache lookup. On a hit the slot's recency is refreshed and (under
@@ -956,22 +939,6 @@ impl OocStore {
         self.n.div_ceil(self.attr_block_nodes)
     }
 
-    /// Sorted ids of the currently cached `(edge, attr)` blocks — cache
-    /// *contents* irrespective of recency order, for tests that compare
-    /// prefetch-on against prefetch-off runs.
-    pub fn resident_block_ids(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut edges = Vec::new();
-        let mut attrs = Vec::new();
-        for shard in &self.cache.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            edges.extend(shard.edge.keys().copied());
-            attrs.extend(shard.attr.keys().copied());
-        }
-        edges.sort_unstable();
-        attrs.sort_unstable();
-        (edges, attrs)
-    }
-
     fn row_range(&self, u: u32) -> (usize, usize) {
         (
             self.indptr[u as usize] as usize,
@@ -1103,6 +1070,31 @@ impl GraphStore for OocStore {
         out.copy_from_slice(&block[at..at + self.d]);
     }
 
+    fn gather_attrs(&self, nodes: &[u32]) -> Matrix {
+        // Fill the output slots in node order, so each attribute block is
+        // fetched once per gather however the ids are ordered or repeated
+        // (a random-order gather larger than the cache would otherwise
+        // thrash it). Every row still lands in its own slot.
+        let abn = self.attr_block_nodes;
+        let d = self.d;
+        let mut out = Matrix::zeros(nodes.len(), d);
+        let mut order: Vec<usize> = (0..nodes.len()).collect();
+        order.sort_unstable_by_key(|&i| nodes[i]);
+        let mut rest = &order[..];
+        while let Some(&first) = rest.first() {
+            let b = nodes[first] as usize / abn;
+            let (run, tail) =
+                rest.split_at(rest.partition_point(|&i| nodes[i] as usize / abn == b));
+            let block = self.attr_block(b);
+            for &i in run {
+                let at = (nodes[i] as usize % abn) * d;
+                out.row_mut(i).copy_from_slice(&block[at..at + d]);
+            }
+            rest = tail;
+        }
+        out
+    }
+
     fn visit_adjacency(&self, cb: &mut dyn FnMut(u32, &[u32])) {
         // Sequential streaming pass, bypassing the block cache so a full
         // sweep does not evict the sampler's working set. One positioned
@@ -1184,36 +1176,6 @@ impl GraphStore for OocStore {
 
     fn as_shared(&self) -> Option<&(dyn GraphStore + Sync)> {
         Some(self)
-    }
-
-    fn prefetch_nodes(&self, lo: u32, hi: u32) {
-        let hi = hi.min(self.n as u32);
-        if lo >= hi {
-            return;
-        }
-        // Warm-only probes: resident blocks are left completely untouched
-        // (no recency bump, no promotion, no correlated-reference update),
-        // so warming ahead of the compute threads cannot distort the
-        // replacement decisions their own accesses drive. Missing blocks
-        // are read and admitted on probation exactly like a demand miss.
-        let (start, end) = (
-            self.indptr[lo as usize] as usize,
-            self.indptr[hi as usize] as usize,
-        );
-        if start < end {
-            let eb = self.edge_block_entries;
-            for b in start / eb..=(end - 1) / eb {
-                if !self.cache.contains::<u32>(b) {
-                    drop(self.load_edge_block(b));
-                }
-            }
-        }
-        let abn = self.attr_block_nodes;
-        for b in lo as usize / abn..=(hi as usize - 1) / abn {
-            if !self.cache.contains::<f32>(b) {
-                drop(self.load_attr_block(b));
-            }
-        }
     }
 }
 
@@ -1498,6 +1460,8 @@ pub fn in_memory_bytes_estimate(n: usize, m: usize, d: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::{community_graph, gaussian_mixture_attributes, CommunityGraphConfig};
+    use rand::seq::SliceRandom;
+    use rand::Rng;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -1626,6 +1590,77 @@ mod tests {
         OocStore::create_from_graph(&g, &path, 8, 32).unwrap();
         let store = OocStore::open(&path, 1 << 20).unwrap();
         assert_eq!(store.gather_attrs(&nodes).as_slice(), direct.as_slice());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Attribute rows per block in [`paged_store`]: 120 nodes leave a
+    /// partial last block.
+    const PAGED_ABN: usize = 7;
+
+    /// A store of `small_graph` opened under a budget that holds only a
+    /// few of its attribute blocks.
+    fn paged_store(seed: u64, name: &str) -> (AttributedGraph, OocStore, std::path::PathBuf) {
+        let g = small_graph(seed);
+        let path = temp_path(name);
+        OocStore::create_from_graph(&g, &path, PAGED_ABN, 32).unwrap();
+        let block_bytes = PAGED_ABN * g.num_attrs() * 4;
+        let min = (g.num_nodes() + 1) * 8 + 32 * 4 + block_bytes;
+        let store = OocStore::open(&path, min + 3 * block_bytes).unwrap();
+        assert!(
+            store.num_attr_blocks() > 6,
+            "the budget must be smaller than the store"
+        );
+        (g, store, path)
+    }
+
+    fn row_by_row(store: &OocStore, nodes: &[u32]) -> Vec<u32> {
+        let mut row = vec![0f32; GraphStore::num_attrs(store)];
+        let mut bits = Vec::new();
+        for &u in nodes {
+            store.attr_row_into(u, &mut row);
+            bits.extend(row.iter().map(|x| x.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn block_ordered_gather_equals_row_by_row_reads() {
+        let (g, store, path) = paged_store(14, "gatherorder.gstore");
+        let n = g.num_nodes() as u32;
+        let abn = PAGED_ABN as u32;
+        assert_ne!(n % abn, 0, "the last attribute block must be partial");
+        let mut rng = seeded_rng(15);
+        let mut shuffled: Vec<u32> = (0..n).collect();
+        shuffled.shuffle(&mut rng);
+        let duplicated: Vec<u32> = (0..3 * n).map(|_| rng.gen_range(0..n)).collect();
+        let last_block: Vec<u32> = (n - n % abn..n).rev().chain([n - 1, 0, n - 1]).collect();
+        for nodes in [shuffled, duplicated, Vec::new(), last_block] {
+            let gathered = store.gather_attrs(&nodes);
+            assert_eq!(gathered.rows(), nodes.len());
+            let bits: Vec<u32> = gathered.as_slice().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits, row_by_row(&store, &nodes), "ids {nodes:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn gather_misses_at_most_once_per_distinct_block() {
+        let (g, store, path) = paged_store(16, "gathermiss.gstore");
+        let n = g.num_nodes() as u32;
+        let mut rng = seeded_rng(17);
+        // Random ids cycling through every block: row by row, the small
+        // cache would evict and re-read blocks many times over.
+        let nodes: Vec<u32> = (0..4 * n).map(|_| rng.gen_range(0..n)).collect();
+        let blocks: std::collections::HashSet<usize> =
+            nodes.iter().map(|&u| u as usize / PAGED_ABN).collect();
+        let before = store.stats().misses;
+        store.gather_attrs(&nodes);
+        let misses = store.stats().misses - before;
+        assert!(
+            misses <= blocks.len() as u64,
+            "{misses} misses for {} distinct blocks",
+            blocks.len()
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1798,30 +1833,6 @@ mod tests {
         assert!(
             hot_reread_bytes(CachePolicy::Lru) > 0,
             "plain LRU is expected to lose the hot blocks to the scan"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn prefetch_warms_exactly_the_touched_blocks() {
-        let g = small_graph(13);
-        let path = temp_path("prefetch.gstore");
-        OocStore::create_from_graph(&g, &path, 8, 32).unwrap();
-        let store = OocStore::open(&path, 1 << 20).unwrap();
-        store.prefetch_nodes(0, 16);
-        let (_, attrs) = store.resident_block_ids();
-        assert_eq!(attrs, vec![0, 1], "rows 0..16 span attribute blocks 0-1");
-        let read_after_prefetch = store.stats().bytes_read;
-        let mut row = vec![0f32; GraphStore::num_attrs(&store)];
-        let mut nbrs = Vec::new();
-        for u in 0..16u32 {
-            store.attr_row_into(u, &mut row);
-            store.neighbors_into(u, &mut nbrs);
-        }
-        assert_eq!(
-            store.stats().bytes_read,
-            read_after_prefetch,
-            "reads of prefetched rows must all hit the cache"
         );
         std::fs::remove_file(&path).ok();
     }
