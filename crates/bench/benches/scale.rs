@@ -10,7 +10,10 @@
 //! * **sampled_mlp** — `Vbm`: mini-batch variance training over sampled
 //!   batch views, per-batch scoring;
 //! * **sampled_gnn** — `Dominant`: GCN autoencoder trained on one sampled
-//!   training subgraph, scored per sampled batch.
+//!   training subgraph, scored per sampled batch;
+//! * **sampled_vgod** — `Vgod`, the paper's method: the VBM mini-batch fit
+//!   above plus ARM's GNN reconstruction trained over sampled batch views,
+//!   both scored per sampled batch and combined.
 //!
 //! Per class the bench records wall-clock for fit and score, the process
 //! peak RSS (`VmHWM`, reset via `/proc/self/clear_refs` before each run),
@@ -28,7 +31,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use vgod::{Vbm, VbmConfig};
+use vgod::{Vbm, VbmConfig, Vgod, VgodConfig};
 use vgod_baselines::{DeepConfig, Deg, Dominant};
 use vgod_eval::OutlierDetector;
 use vgod_graph::{
@@ -289,6 +292,13 @@ fn run_point(n: usize, budget: usize) -> PointResult {
         &cfg,
         &mut dominant,
     ));
+    let mut vgod_cfg = VgodConfig::default();
+    vgod_cfg.vbm.hidden_dim = 16;
+    vgod_cfg.vbm.epochs = 2;
+    vgod_cfg.arm.hidden_dim = 16;
+    vgod_cfg.arm.epochs = 2;
+    let mut vgod = Vgod::new(vgod_cfg);
+    classes.push(run_class("sampled_vgod", "vgod", &store, &cfg, &mut vgod));
     drop(store);
 
     // The concurrency A/B and the replacement-policy comparison only make

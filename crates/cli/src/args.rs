@@ -45,8 +45,9 @@ impl std::error::Error for ArgError {}
 
 impl Args {
     /// Parse a word list where the named `switches` are boolean flags that
-    /// take no value (`--verbose`); every other `--flag` still consumes the
-    /// following word. Query switches with [`Args::has`].
+    /// take no value (`--verbose`); every other `--flag` consumes the
+    /// following word, which must not itself start with `--`. Query
+    /// switches with [`Args::has`].
     pub fn parse_with_switches(words: &[String], switches: &[&str]) -> Result<Self, ArgError> {
         let mut flags = BTreeMap::new();
         let mut positional = Vec::new();
@@ -56,8 +57,11 @@ impl Args {
                 if switches.contains(&name) {
                     flags.insert(name.to_string(), "true".to_string());
                 } else {
+                    // A following `--word` is the next flag, not a value:
+                    // a stale or mistyped switch must fail, not eat it.
                     let value = iter
                         .next()
+                        .filter(|v| !v.starts_with("--"))
                         .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
                     flags.insert(name.to_string(), value.clone());
                 }
@@ -146,6 +150,21 @@ mod tests {
             Args::parse_with_switches(&words(&["--seed"]), &["verbose"]).unwrap_err(),
             ArgError::MissingValue("seed".into())
         );
+    }
+
+    #[test]
+    fn a_flag_never_takes_the_next_flag_as_its_value() {
+        // An unknown switch (say one a release removed) before a real one.
+        let err = Args::parse_with_switches(
+            &words(&["--in", "g.store", "--prefetch", "--verbose"]),
+            &["verbose"],
+        )
+        .unwrap_err();
+        assert_eq!(err, ArgError::MissingValue("prefetch".into()));
+        assert_eq!(err.to_string(), "flag --prefetch expects a value");
+        // Single-dash values such as negative numbers still parse.
+        let a = Args::parse_with_switches(&words(&["--shift", "-0.5"]), &[]).unwrap();
+        assert_eq!(a.get_parsed_or("shift", 0.0f32).unwrap(), -0.5);
     }
 
     #[test]
